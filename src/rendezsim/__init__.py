@@ -18,7 +18,7 @@ from .topology import (
 )
 from .pr_activity import PrParams, ChannelOccupancy
 from .hopping import DualModularClock, RandomClock, ModularClock, make_clock
-from .protocol import NodeState, HandshakeMessage, process_handshake, check_termination
+from .protocol import NodeState, process_handshake, check_termination
 from .engine import RunConfig, RunRecord, run_once, resolve_half_slot, default_area_side
 from .metrics import ptm, ctm, attr, ptdd, aggregate, AggregateMetrics, AGGREGATE_COLUMNS
 from .experiments import ScenarioGrid, run_grid, paper_grid, parse_grid_config

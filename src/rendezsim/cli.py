@@ -2,19 +2,22 @@
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .engine import RunConfig, run_once, DEFAULT_MAX_SLOTS, DEFAULT_RANGE_M
+from .engine import RunConfig, IncompleteRun, run_once
 from .experiments import (
     ScenarioGrid, run_grid, paper_grid, parse_grid_config,
-    aggregate_csv, runs_csv, RUN_COLUMNS, ALL_PROTOCOLS, _run_configs,
+    aggregate_csv, runs_csv, RUN_COLUMNS, _run_configs,
 )
+from .hopping import PROTOCOLS
 from .metrics import fmt
 from .pr_activity import PrParams
 from .protocol import TERMINATION_MODES
+from .topology import DeploymentError
 
 
 def _add_cell_args(p):
-    p.add_argument("--protocol", required=True, choices=ALL_PROTOCOLS)
+    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
     p.add_argument("--termination", required=True, choices=TERMINATION_MODES)
     p.add_argument("--nodes", required=True, type=int)
     p.add_argument("--channels", required=True, type=int)
@@ -100,7 +103,7 @@ def _cmd_sweep(args):
     with open(args.config) as fh:
         grid = parse_grid_config(fh.read())
     if args.seed is not None:
-        grid = ScenarioGrid(**{**grid.__dict__, "master_seed": args.seed})
+        grid = replace(grid, master_seed=args.seed)
     result = run_grid(grid, workers=args.workers)
     _emit(args, result)
     return 0
@@ -121,6 +124,9 @@ def _cmd_paper(args):
 def _cmd_audit(args):
     with open(args.csv) as fh:
         lines = [l.rstrip("\n") for l in fh if not l.startswith("#")]
+    if not lines:
+        print(f"audit: {args.csv} has no header row", file=sys.stderr)
+        return 1
     header = lines[0].split(",")
     if header != RUN_COLUMNS:
         print(f"audit: unexpected columns {header}", file=sys.stderr)
@@ -128,7 +134,11 @@ def _cmd_audit(args):
     mismatches = 0
     checked = 0
     for line in lines[1:]:
-        row = dict(zip(RUN_COLUMNS, line.split(",")))
+        cells = line.split(",")
+        if len(cells) != len(RUN_COLUMNS):
+            raise ValueError(f"{args.csv}: row {line!r} does not have "
+                             f"{len(RUN_COLUMNS)} columns")
+        row = dict(zip(RUN_COLUMNS, cells))
         if row["completed"] != "yes":
             continue
         cfg = RunConfig(
@@ -139,8 +149,14 @@ def _cmd_audit(args):
             topo_seed=int(row["topo_seed"]) if row["topo_seed"] else None,
             chan_seed=int(row["chan_seed"]) if row["chan_seed"] else None,
         )
-        record = run_once(cfg)
         checked += 1
+        try:
+            record = run_once(cfg)
+        except IncompleteRun as exc:
+            mismatches += 1
+            print(f"audit: run {row['run_index']}: recorded as completed, "
+                  f"replay stopped: {exc}", file=sys.stderr)
+            continue
         for col, value in (("ttr_policy", record.node_mean("policy")),
                            ("ttr_n1", record.node_mean("n1")),
                            ("ttr_full", record.node_mean("full")),
@@ -166,7 +182,7 @@ def main(argv=None):
             return _cmd_paper(args)
         if args.command == "audit":
             return _cmd_audit(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DeploymentError, IncompleteRun) as exc:
         print(f"rendezsim: {exc}", file=sys.stderr)
         return 2
     return 0

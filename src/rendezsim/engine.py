@@ -2,11 +2,12 @@
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import protocol as proto
 from .hopping import make_clock, PROTOCOLS
+from .metrics import ctm, ptm
 from .pr_activity import PrParams, ChannelOccupancy
 from .topology import deploy, assign_channels
 
@@ -76,7 +77,6 @@ class RunRecord:
 
     scenario: tuple
     seed: int
-    completed: bool
     slots_used: int
     t_n1: list
     t_full: list
@@ -156,9 +156,9 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                          random.Random(clock_rng.getrandbits(63)), pool=pool)
               for i in range(n)]
     usable = [frozenset(chans.sets[i]) for i in range(n)]
-    states = [proto.NodeState(i, topo.coords[i], cfg.range_m, cfg.validate_coords)
-              for i in range(n)]
     neighbour_sets = topo.dnl_star
+    states = [proto.NodeState(i, neighbour_sets[i], cfg.validate_coords)
+              for i in range(n)]
 
     t_n1 = [None] * n
     t_full = [None] * n
@@ -176,9 +176,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
             t_full[i] = tnow
             if run_to_full:
                 pending.discard(i)
-        if not st.terminated and proto.check_termination(st, cfg.termination, n):
-            st.terminated = True
-            st.t_term = tnow
+        if t_term[i] is None and proto.check_termination(st, cfg.termination, n):
             t_term[i] = tnow
             dnl_at_term[i] = frozenset(st.dnl)
             if not run_to_full:
@@ -219,22 +217,18 @@ def run_once(cfg, topo=None, chans=None, trace=None):
             clk.end_slot()
         slot += 1
 
-    ptm_values = []
-    for i in range(n):
-        dnl = dnl_at_term[i] if dnl_at_term[i] is not None else frozenset(states[i].dnl)
-        truth = neighbour_sets[i]
-        ptm_values.append(100.0 * len(dnl & truth) / len(truth) if truth else 100.0)
-    ctm = sum(ptm_values) / n
+    ptm_values = [ptm(dnl_at_term[i] if dnl_at_term[i] is not None else states[i].dnl,
+                      neighbour_sets[i])
+                  for i in range(n)]
 
     return RunRecord(
         scenario=cfg.scenario_key(),
         seed=cfg.seed,
-        completed=True,
         slots_used=slot,
         t_n1=t_n1,
         t_full=t_full,
         t_term=t_term,
         ptm=ptm_values,
-        ctm=ctm,
+        ctm=ctm(ptm_values),
         final_dnl=[frozenset(st.dnl) for st in states],
     )

@@ -3,10 +3,11 @@
 import hashlib
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 from itertools import product
 
 from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS, DEFAULT_RANGE_M
+from .hopping import PROTOCOLS
 from .metrics import aggregate, aggregate_row, AGGREGATE_COLUMNS, fmt
 from .pr_activity import PrParams
 
@@ -73,18 +74,8 @@ def _run_configs(grid):
                 kwargs["chan_seed"] = derive_seed(
                     grid.master_seed, "chan", cfg.n_nodes, cfg.pool_size,
                     cfg.similarity, run_index)
-            items.append((cell_index, run_index,
-                          RunConfig(**{**_cfg_fields(cfg), **kwargs})))
+            items.append((cell_index, run_index, replace(cfg, **kwargs)))
     return items
-
-
-def _cfg_fields(cfg):
-    return {
-        "protocol": cfg.protocol, "termination": cfg.termination,
-        "n_nodes": cfg.n_nodes, "pool_size": cfg.pool_size,
-        "similarity": cfg.similarity, "pr": cfg.pr, "range_m": cfg.range_m,
-        "area": cfg.area, "max_slots": cfg.max_slots,
-    }
 
 
 def _execute(item):
@@ -185,7 +176,6 @@ def runs_csv(result):
     return buf.getvalue()
 
 
-ALL_PROTOCOLS = ("rcs", "mca", "emca", "mdmca", "mrdmca")
 BASELINE_PROTOCOLS = ("rcs", "mca", "emca", "mdmca")
 
 
@@ -209,13 +199,13 @@ def paper_grid(name, runs=None, master_seed=0):
                          master_seed=master_seed, fix_topology=True),
         )
     if name == "controlled":
-        return (ScenarioGrid(name="controlled", protocols=ALL_PROTOCOLS,
+        return (ScenarioGrid(name="controlled", protocols=PROTOCOLS,
                              terminations=("controlled",), n_values=(3, 10),
                              c_values=(10,), m_values=(2, 5),
                              pr_levels=("off", "high"), runs=runs,
                              master_seed=master_seed, fix_topology=True),)
     if name == "scale":
-        return (ScenarioGrid(name="scale", protocols=ALL_PROTOCOLS,
+        return (ScenarioGrid(name="scale", protocols=PROTOCOLS,
                              terminations=("controlled",), n_values=(20,),
                              c_values=(20,), m_values=(2, 5),
                              pr_levels=("off", "high"), runs=runs,

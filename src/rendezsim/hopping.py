@@ -5,8 +5,6 @@ Every clock exposes select(half) returning the channel for the given half-slot
 exactly two rendezvous attempts per slot.
 """
 
-import random
-
 from .topology import split_primality, _is_prime
 
 

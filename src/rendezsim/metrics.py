@@ -81,7 +81,7 @@ def _ci95(values):
 @dataclass(frozen=True)
 class AggregateMetrics:
     runs: int
-    attr_policy: float   # None when no policy terminated the runs
+    attr_policy: float   # None when the policy never fired
     attr_n1: float
     attr_full: float     # None when runs stopped before full discovery
     atm: float

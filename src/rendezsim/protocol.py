@@ -1,14 +1,13 @@
 """Per-node rendezvous state: neighbour tables, handshake, termination policy.
 
-Tables are kept pairwise disjoint and never contain the owner. DNL membership
-comes only from a completed direct handshake; with coordinate validation
-enabled, learned nodes within range go to IDN (handshake pending) while the
-rest go to INL; without validation everything learned indirectly goes to INL,
-which is exactly the classification that makes N-1 termination premature.
+The three tables are plain sets of node ids, kept pairwise disjoint and never
+containing the owner. DNL (verified) membership comes only from a completed
+direct handshake. Everything else a node hears is gossip and is sorted by one
+rule: with coordinate validation, gossiped nodes within range go to IDN
+(handshake pending) and the rest to INL (indirect); without validation all of
+them go to INL, which is exactly the classification that makes N-1
+termination premature.
 """
-
-import math
-from dataclasses import dataclass, field
 
 BASELINE = "baseline"        # fire at |DNL u INL| = N-1
 CONTROLLED = "controlled"    # additionally require IDN empty
@@ -16,96 +15,58 @@ RUN_TO_FULL = "run_to_full"  # never fire; engine stops at full discovery
 TERMINATION_MODES = (BASELINE, CONTROLLED, RUN_TO_FULL)
 
 
-@dataclass(frozen=True)
-class HandshakeMessage:
-    """One leg of the three-way handshake (D-REQ / D-RESP / D-ACK)."""
-
-    kind: str
-    sender: int
-    sender_coords: tuple
-    tables: dict  # {"dnl"|"inl"|"idn": {node_id: (x, y)}}
-
-    def known_nodes(self):
-        merged = dict(self.tables["dnl"])
-        merged.update(self.tables["inl"])
-        merged.update(self.tables["idn"])
-        merged[self.sender] = self.sender_coords
-        return merged
-
-
 class NodeState:
-    """Neighbour tables and termination bookkeeping for one node."""
+    """Neighbour tables of one node.
 
-    __slots__ = ("node_id", "coords", "range_m", "validate_coords",
-                 "dnl", "inl", "idn", "known_coords", "terminated", "t_term")
+    in_range is the set of nodes within transmission range of the owner,
+    normally `topo.dnl_star[node_id]`. The deployment computes it with the
+    same inclusive `hypot(dx, dy) <= r` test a node would apply to the true
+    coordinates gossiped with each table entry, so membership in it is the
+    coordinate check of the validating protocol.
+    """
 
-    def __init__(self, node_id, coords, range_m, validate_coords):
+    __slots__ = ("node_id", "in_range", "validate_coords", "dnl", "inl", "idn")
+
+    def __init__(self, node_id, in_range, validate_coords):
         self.node_id = node_id
-        self.coords = coords
-        self.range_m = range_m
+        self.in_range = in_range
         self.validate_coords = validate_coords
         self.dnl = set()
         self.inl = set()
         self.idn = set()
-        self.known_coords = {}
-        self.terminated = False
-        self.t_term = None
 
-    def in_range(self, coords):
-        dx = self.coords[0] - coords[0]
-        dy = self.coords[1] - coords[1]
-        return math.hypot(dx, dy) <= self.range_m
+    def known(self):
+        """Every node this one can report: its tables plus itself."""
+        return self.dnl | self.inl | self.idn | {self.node_id}
 
-    def learn(self, u, u_coords):
-        """Place a gossiped node into INL or IDN; never demotes from DNL."""
-        if u == self.node_id:
-            return
-        self.known_coords[u] = u_coords
-        if u in self.dnl:
-            return
-        if self.validate_coords and self.in_range(u_coords):
-            self.inl.discard(u)
-            self.idn.add(u)
-        elif u not in self.idn and u not in self.inl:
-            self.inl.add(u)
+    def learn(self, learned):
+        """File gossiped nodes under INL or IDN; never demotes from DNL."""
+        learned = learned - self.dnl - {self.node_id}
+        if self.validate_coords:
+            near = learned & self.in_range
+            self.idn |= near
+            self.inl -= near
+            self.inl |= learned - near
+        else:
+            self.inl |= learned - self.idn
 
-    def add_direct(self, u, u_coords):
+    def add_direct(self, u):
         """Record a completed handshake with u."""
-        self.known_coords[u] = u_coords
         self.inl.discard(u)
         self.idn.discard(u)
         self.dnl.add(u)
 
-    def message(self, kind):
-        coords = self.known_coords
-        return HandshakeMessage(
-            kind=kind,
-            sender=self.node_id,
-            sender_coords=self.coords,
-            tables={
-                "dnl": {u: coords[u] for u in self.dnl},
-                "inl": {u: coords[u] for u in self.inl},
-                "idn": {u: coords[u] for u in self.idn},
-            },
-        )
-
-    def apply(self, msg):
-        self.add_direct(msg.sender, msg.sender_coords)
-        for u, u_coords in msg.known_nodes().items():
-            if u != msg.sender:
-                self.learn(u, u_coords)
-
-    def n_known(self):
-        return len(self.dnl) + len(self.inl) + len(self.idn)
-
 
 def process_handshake(a, b):
-    """Atomic three-way handshake between two co-channel in-range nodes."""
-    req = a.message("D-REQ")
-    b.apply(req)
-    resp = b.message("D-RESP")
-    a.apply(resp)
-    a.message("D-ACK")  # confirmation carries no new information
+    """Atomic three-way handshake between two co-channel in-range nodes.
+
+    b learns a's tables from the request; a learns b's updated tables from
+    the response; the closing acknowledgement carries nothing new.
+    """
+    b.add_direct(a.node_id)
+    b.learn(a.known())
+    a.add_direct(b.node_id)
+    a.learn(b.known())
 
 
 def check_termination(state, policy, n_nodes):

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_ATTEMPT_CAP = 10_000
 

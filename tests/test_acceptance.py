@@ -2,8 +2,8 @@
 
 Each test prints a PASS line with the measured values when it succeeds, so a
 verbose run doubles as a results table. Incomplete replications (safety-cap
-hits from rare frozen clock-offset pairs) are excluded from the means and
-reported; they are bounded to a small fraction of each batch.
+hits) are excluded from the means and reported; they are bounded to a small
+fraction of each batch.
 """
 
 import math

@@ -1,12 +1,13 @@
 """Batch harness and CLI tests: seeding, grids, CSV emission, audit replay."""
 
-import io
 import subprocess
 import sys
 
 import pytest
 
+import rendezsim.cli as cli
 from rendezsim.cli import main
+from rendezsim.engine import IncompleteRun
 from rendezsim.experiments import (
     ScenarioGrid,
     aggregate_csv,
@@ -16,6 +17,7 @@ from rendezsim.experiments import (
     run_grid,
     runs_csv,
 )
+from rendezsim.topology import DeploymentError
 
 SMALL_GRID = ScenarioGrid(
     name="small", protocols=("mrdmca", "mdmca"), terminations=("controlled",),
@@ -196,6 +198,63 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "missing.txt")])
     assert rc == 2
     assert "rendezsim:" in capsys.readouterr().err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_cli_reports_an_infeasible_deployment_in_one_line(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text(
+        "protocols = mrdmca\nterminations = controlled\nnodes = 80\n"
+        "channels = 10\nsimilarity = 5\npr = off\nruns = 1\n")
+    monkeypatch.setattr(cli, "run_grid", _raise(DeploymentError("no connected placement")))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert _one_error_line(capsys) == "rendezsim: no connected placement\n"
+
+
+def test_cli_reports_a_capped_traced_run_in_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_once", _raise(IncompleteRun("safety cap reached")))
+    assert main(RUN_ARGS + ["--trace", str(tmp_path / "trace.txt")]) == 2
+    assert _one_error_line(capsys) == "rendezsim: safety cap reached\n"
+
+
+def test_cli_audit_counts_a_capped_replay_as_a_mismatch(tmp_path, monkeypatch, capsys):
+    runs_out = tmp_path / "runs.csv"
+    main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "run_once", _raise(IncompleteRun("safety cap reached")))
+    assert main(["audit", str(runs_out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "audit: 5 runs replayed, 5 mismatch(es)\n"
+    assert captured.err.count("safety cap reached") == 5
+    assert "Traceback" not in captured.err
+
+
+def test_cli_audit_rejects_a_file_without_header(tmp_path, capsys):
+    for text in ("", "# comment only\n"):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main(["audit", str(path)]) == 1
+        assert "has no header row" in _one_error_line(capsys)
+
+
+def test_cli_audit_rejects_a_short_row(tmp_path, capsys):
+    runs_out = tmp_path / "runs.csv"
+    main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])
+    capsys.readouterr()
+    runs_out.write_text(runs_out.read_text() + "run,rcs\n")
+    assert main(["audit", str(runs_out)]) == 2
+    assert "does not have 16 columns" in _one_error_line(capsys)
 
 
 def test_console_entry_point_runs():

@@ -1,7 +1,11 @@
 """Neighbour-table state machine and termination-policy tests."""
 
+import math
+import random
+
 import pytest
 
+from rendezsim.engine import default_area_side
 from rendezsim.protocol import (
     BASELINE,
     CONTROLLED,
@@ -10,10 +14,11 @@ from rendezsim.protocol import (
     check_termination,
     process_handshake,
 )
+from rendezsim.topology import _build_topology, deploy
 
 
-def make_node(node_id, coords, validate, r=100.0):
-    return NodeState(node_id, coords, r, validate)
+def make_node(node_id, validate, in_range=()):
+    return NodeState(node_id, frozenset(in_range), validate)
 
 
 def table_invariants(state):
@@ -24,8 +29,8 @@ def table_invariants(state):
 
 
 def test_fresh_two_node_handshake():
-    a = make_node(0, (0.0, 0.0), validate=True)
-    b = make_node(1, (10.0, 0.0), validate=True)
+    a = make_node(0, validate=True, in_range={1})
+    b = make_node(1, validate=True, in_range={0})
     process_handshake(a, b)
     assert a.dnl == {1} and b.dnl == {0}
     assert a.inl == a.idn == set()
@@ -35,65 +40,67 @@ def test_fresh_two_node_handshake():
 
 
 def test_gossiped_in_range_node_lands_in_idn_when_validating():
-    a = make_node(0, (0.0, 0.0), validate=True)
-    a.learn(2, (50.0, 0.0))
+    a = make_node(0, validate=True, in_range={1, 2})
+    a.learn({2})
     assert a.idn == {2} and a.inl == set()
     table_invariants(a)
 
 
 def test_gossiped_out_of_range_node_lands_in_inl():
-    a = make_node(0, (0.0, 0.0), validate=True)
-    a.learn(2, (300.0, 0.0))
+    a = make_node(0, validate=True, in_range={1})
+    a.learn({2})
     assert a.inl == {2} and a.idn == set()
 
 
 def test_boundary_distance_is_in_range():
-    a = make_node(0, (0.0, 0.0), validate=True)
-    a.learn(2, (100.0, 0.0))  # exactly r
-    assert a.idn == {2}
+    # node 1 sits exactly r away; the deployment's in-range set includes it
+    topo = _build_topology([(0.0, 0.0), (100.0, 0.0)], 100.0, (100.0, 100.0))
+    a = NodeState(0, topo.dnl_star[0], True)
+    a.learn({1})
+    assert a.idn == {1}
 
 
 def test_without_validation_everything_learned_goes_to_inl():
-    a = make_node(0, (0.0, 0.0), validate=False)
-    a.learn(2, (50.0, 0.0))   # in range, but the node cannot tell
-    a.learn(3, (300.0, 0.0))
+    a = make_node(0, validate=False, in_range={2})
+    a.learn({2, 3})   # 2 is in range, but the node cannot tell
     assert a.inl == {2, 3} and a.idn == set()
 
 
 def test_better_coordinates_promote_inl_to_idn():
-    a = make_node(0, (0.0, 0.0), validate=True)
+    a = make_node(0, validate=True, in_range={2})
     a.inl.add(2)
-    a.learn(2, (40.0, 0.0))
+    a.learn({2})
     assert a.idn == {2} and a.inl == set()
     table_invariants(a)
 
 
 def test_dnl_membership_is_final():
-    a = make_node(0, (0.0, 0.0), validate=True)
-    a.add_direct(2, (50.0, 0.0))
-    a.learn(2, (50.0, 0.0))
+    a = make_node(0, validate=True, in_range={2})
+    a.add_direct(2)
+    a.learn({2})
     assert a.dnl == {2} and a.idn == set() and a.inl == set()
 
 
 def test_direct_handshake_clears_pending_entries():
-    a = make_node(0, (0.0, 0.0), validate=True)
+    a = make_node(0, validate=True, in_range={1})
     a.idn.add(1)
-    a.add_direct(1, (10.0, 0.0))
+    a.add_direct(1)
     assert a.dnl == {1} and a.idn == set()
 
 
 def test_node_never_learns_itself():
-    a = make_node(0, (0.0, 0.0), validate=True)
-    a.learn(0, (0.0, 0.0))
-    assert a.n_known() == 0
+    for validate in (True, False):
+        a = make_node(0, validate=validate, in_range={0})
+        a.learn({0})
+        assert a.dnl == a.inl == a.idn == set()
 
 
 def test_handshake_propagates_tables_both_ways():
     # b already verified node 2; a should hear about it and, being in range
     # of 2, file it under IDN
-    a = make_node(0, (0.0, 0.0), validate=True)
-    b = make_node(1, (10.0, 0.0), validate=True)
-    b.add_direct(2, (60.0, 0.0))
+    a = make_node(0, validate=True, in_range={1, 2})
+    b = make_node(1, validate=True, in_range={0, 2})
+    b.add_direct(2)
     process_handshake(a, b)
     assert a.dnl == {1} and a.idn == {2}
     assert b.dnl == {0, 2}
@@ -101,21 +108,84 @@ def test_handshake_propagates_tables_both_ways():
     table_invariants(b)
 
 
-def test_message_carries_all_three_tables_with_coordinates():
-    a = make_node(0, (0.0, 0.0), validate=True)
-    a.add_direct(1, (10.0, 0.0))
-    a.learn(2, (50.0, 0.0))
-    a.learn(3, (300.0, 0.0))
-    msg = a.message("D-REQ")
-    assert msg.sender == 0 and msg.kind == "D-REQ"
-    assert msg.tables["dnl"] == {1: (10.0, 0.0)}
-    assert msg.tables["idn"] == {2: (50.0, 0.0)}
-    assert msg.tables["inl"] == {3: (300.0, 0.0)}
-    assert set(msg.known_nodes()) == {0, 1, 2, 3}
+class ReferenceNode:
+    """The coordinate/message formulation the set rule replaced.
+
+    Every handshake leg carries the sender's tables as {node: (x, y)} maps and
+    the receiver re-tests each gossiped position against its own range.
+    """
+
+    def __init__(self, node_id, coords, range_m, validate_coords):
+        self.node_id = node_id
+        self.coords = coords
+        self.range_m = range_m
+        self.validate_coords = validate_coords
+        self.dnl, self.inl, self.idn = set(), set(), set()
+        self.known_coords = {}
+
+    def in_range(self, coords):
+        dx = self.coords[0] - coords[0]
+        dy = self.coords[1] - coords[1]
+        return math.hypot(dx, dy) <= self.range_m
+
+    def learn(self, u, u_coords):
+        if u == self.node_id:
+            return
+        self.known_coords[u] = u_coords
+        if u in self.dnl:
+            return
+        if self.validate_coords and self.in_range(u_coords):
+            self.inl.discard(u)
+            self.idn.add(u)
+        elif u not in self.idn and u not in self.inl:
+            self.inl.add(u)
+
+    def add_direct(self, u, u_coords):
+        self.known_coords[u] = u_coords
+        self.inl.discard(u)
+        self.idn.discard(u)
+        self.dnl.add(u)
+
+    def message(self):
+        known = {u: self.known_coords[u] for u in self.dnl | self.inl | self.idn}
+        return self.node_id, self.coords, known
+
+    def apply(self, msg):
+        sender, sender_coords, known = msg
+        self.add_direct(sender, sender_coords)
+        for u, u_coords in known.items():
+            self.learn(u, u_coords)
+
+
+def reference_handshake(a, b):
+    b.apply(a.message())   # D-REQ
+    a.apply(b.message())   # D-RESP; the D-ACK carries nothing new
+
+
+def test_set_rule_matches_the_coordinate_message_reference():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(3, 12)
+        side = default_area_side(n)
+        topo = deploy(n, (side, side), 100.0, rng_seed=seed)
+        edges = sorted(topo.edges)
+        for validate in (True, False):
+            nodes = [NodeState(i, topo.dnl_star[i], validate) for i in range(n)]
+            refs = [ReferenceNode(i, topo.coords[i], 100.0, validate)
+                    for i in range(n)]
+            for _ in range(4 * n):
+                i, j = rng.choice(edges)
+                if rng.random() < 0.5:
+                    i, j = j, i
+                process_handshake(nodes[i], nodes[j])
+                reference_handshake(refs[i], refs[j])
+                for node, ref in zip(nodes, refs):
+                    assert (node.dnl, node.inl, node.idn) == (ref.dnl, ref.inl, ref.idn)
+                    table_invariants(node)
 
 
 def test_termination_three_node_chain_controlled():
-    a = make_node(0, (0.0, 0.0), validate=True)
+    a = make_node(0, validate=True)
     a.dnl = {1}
     a.inl = {2}
     assert check_termination(a, CONTROLLED, 3)
@@ -124,7 +194,7 @@ def test_termination_three_node_chain_controlled():
 
 def test_pending_verification_blocks_both_policies_by_disjointness():
     # a pending IDN entry does not count toward N-1, so neither policy fires
-    a = make_node(0, (0.0, 0.0), validate=True)
+    a = make_node(0, validate=True)
     a.dnl = {1}
     a.idn = {2}
     assert not check_termination(a, BASELINE, 3)
@@ -136,27 +206,25 @@ def test_premature_termination_witness():
     # neighbour 2 and files it under INL; the N-1 count fires anyway. A
     # validating node keeps 2 pending in IDN, which blocks the count and the
     # controlled policy until the handshake happens.
-    blind = make_node(0, (0.0, 0.0), validate=False)
+    blind = make_node(0, validate=False, in_range={1, 2})
     blind.dnl = {1}
-    blind.learn(2, (50.0, 0.0))
-    blind.learn(3, (300.0, 0.0))
+    blind.learn({2, 3})
     assert check_termination(blind, BASELINE, 4)
 
-    careful = make_node(0, (0.0, 0.0), validate=True)
+    careful = make_node(0, validate=True, in_range={1, 2})
     careful.dnl = {1}
-    careful.learn(2, (50.0, 0.0))
-    careful.learn(3, (300.0, 0.0))
+    careful.learn({2, 3})
     assert not check_termination(careful, BASELINE, 4)
     assert not check_termination(careful, CONTROLLED, 4)
 
 
 def test_run_to_full_never_fires():
-    a = make_node(0, (0.0, 0.0), validate=True)
+    a = make_node(0, validate=True)
     a.dnl = {1, 2}
     assert not check_termination(a, RUN_TO_FULL, 3)
 
 
 def test_unknown_policy_rejected():
-    a = make_node(0, (0.0, 0.0), validate=True)
+    a = make_node(0, validate=True)
     with pytest.raises(ValueError):
         check_termination(a, "whenever", 3)
