@@ -1,27 +1,40 @@
 """Golden corpus: the committed sweep output must be reproduced byte for byte.
 
-`tests/golden/grid.txt` is a small sweep over every protocol and termination
-policy; `runs.csv` and `agg.csv` next to it were written by
-`rendezsim sweep --config grid.txt --out agg.csv --runs-out runs.csv`. A change
-that alters any simulated number fails here. A deliberate change to the random
-stream regenerates both files in a commit of its own.
+Each grid config in `tests/golden/` has a per-run and an aggregate CSV next to
+it, written by `rendezsim sweep --config <grid> --out <agg> --runs-out <runs>`:
+
+- `grid.txt` (`runs.csv`, `agg.csv`): every protocol and termination policy
+  at N=3 and N=10, including capped `incomplete` rows;
+- `grid20.txt` (`runs20.csv`, `agg20.csv`): the paper's scale, N=20 and C=20
+  with similarity 2 and 5, on one shared deployment.
+
+A change that alters any simulated number fails here. A deliberate change to
+the random stream regenerates the files in a commit of its own.
 """
 
 from pathlib import Path
+
+import pytest
 
 from rendezsim.cli import main
 from rendezsim.experiments import aggregate_csv, parse_grid_config, run_grid, runs_csv
 
 GOLDEN = Path(__file__).parent / "golden"
+CORPORA = {"grid": ("grid.txt", "runs.csv", "agg.csv"),
+           "grid20": ("grid20.txt", "runs20.csv", "agg20.csv")}
 
 
-def test_sweep_reproduces_the_golden_csvs():
-    grid = parse_grid_config((GOLDEN / "grid.txt").read_text())
+@pytest.mark.parametrize("grid_file, runs_file, agg_file",
+                         CORPORA.values(), ids=CORPORA.keys())
+def test_sweep_reproduces_the_golden_csvs(grid_file, runs_file, agg_file):
+    grid = parse_grid_config((GOLDEN / grid_file).read_text())
     result = run_grid(grid)
-    assert runs_csv(result) == (GOLDEN / "runs.csv").read_text()
-    assert aggregate_csv(result) == (GOLDEN / "agg.csv").read_text()
+    assert runs_csv(result) == (GOLDEN / runs_file).read_text()
+    assert aggregate_csv(result) == (GOLDEN / agg_file).read_text()
 
 
-def test_audit_replays_the_golden_runs(capsys):
-    assert main(["audit", str(GOLDEN / "runs.csv")]) == 0
+@pytest.mark.parametrize("runs_file", [runs for _, runs, _ in CORPORA.values()],
+                         ids=CORPORA.keys())
+def test_audit_replays_the_golden_runs(runs_file, capsys):
+    assert main(["audit", str(GOLDEN / runs_file)]) == 0
     assert capsys.readouterr().out.endswith(", 0 mismatch(es)\n")
