@@ -30,7 +30,7 @@ def replicate(protocol, termination, runs=RUNS):
         try:
             records.append(run_once(cfg))
         except IncompleteRun:
-            pass  # rare frozen-clock pair; excluded like the batch harness does
+            pass  # hit the safety cap; excluded like the batch harness does
     return records
 
 

@@ -213,8 +213,6 @@ def run_once(cfg, topo=None, chans=None, trace=None):
             for i in sorted(touched):
                 update_marks(i, tnow, slot, half)
             half_index += 1
-        for clk in clocks:
-            clk.end_slot()
         slot += 1
 
     ptm_values = [ptm(dnl_at_term[i] if dnl_at_term[i] is not None else states[i].dnl,

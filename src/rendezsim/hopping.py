@@ -1,8 +1,8 @@
 """Channel-selection engines: dual modular clocks and the 2RATS baselines.
 
-Every clock exposes select(half) returning the channel for the given half-slot
-(half 0 or 1) and end_slot() called once per whole slot. All protocols make
-exactly two rendezvous attempts per slot.
+All protocols make exactly two rendezvous attempts per slot. A clock's whole
+contract is select(half): it is asked for half 0 and then half 1 of every
+slot, returns the channel for that half-slot, and advances its own slot.
 """
 
 from .topology import split_primality, _is_prime
@@ -21,8 +21,8 @@ class DualModularClock:
     The first half-slot hops over the prime-labelled channels, the second over
     the non-prime ones; an empty subset falls back to the full set. Rates are
     redrawn after every window of len(channels) slots; indices are redrawn
-    only every RESEED_INDEX_EVERY windows (see reseed_rates for why they
-    cannot be preserved forever).
+    only every RESEED_INDEX_EVERY windows (see select for why they cannot be
+    preserved forever).
     """
 
     # How many rate windows pass between index redraws. The window spans a
@@ -41,9 +41,7 @@ class DualModularClock:
         self.j2 = rng.randrange(len(self.mi))
         self.r1 = self._draw_rate()
         self.r2 = self._draw_rate()
-        self.t = 0
-        self._windows = 0
-        self._c1 = None
+        self._slots = 0
 
     def _draw_rate(self):
         size = len(self.mi)
@@ -51,54 +49,33 @@ class DualModularClock:
             return 1
         return self._rng.randrange(1, size)
 
-    def reseed_rates(self):
-        """Fresh rates after an inner window completes; indices usually survive.
+    def _first(self):
+        return self.mp[self.j1 % len(self.mp)] if self.mp else self.mi[self.j1]
 
-        Indices are redrawn every RESEED_INDEX_EVERY windows, and in every
-        window when the set has fewer than three channels (there every rate
-        draw is 1, so two such clocks advance in permanent lockstep and a
-        rate reseed alone can never change their relative offset).
-        """
-        self.r1 = self._draw_rate()
-        self.r2 = self._draw_rate()
-        self._windows += 1
-        if len(self.mi) < 3 or self._windows % self.RESEED_INDEX_EVERY == 0:
-            self.j1 = self._rng.randrange(len(self.mi))
-            self.j2 = self._rng.randrange(len(self.mi))
-        self.t = 0
-
-    def first_half(self):
+    def select(self, half):
         size = len(self.mi)
-        self.j1 = (self.j1 + self.r1) % size
-        if self.mp:
-            c1 = self.mp[self.j1 % len(self.mp)]
-        else:
-            c1 = self.mi[self.j1]
-        self._c1 = c1
-        return c1
-
-    def second_half(self, c1):
-        size = len(self.mi)
+        if half == 0:
+            self.j1 = (self.j1 + self.r1) % size
+            return self._first()
         self.j2 = (self.j2 + self.r2) % size
-        if self.np_:
-            c2 = self.np_[self.j2 % len(self.np_)]
-        else:
-            c2 = self.mi[self.j2]
-        if c2 == c1:
+        c2 = self.np_[self.j2 % len(self.np_)] if self.np_ else self.mi[self.j2]
+        if c2 == self._first():
             # only reachable when one subset is empty
             self.j2 = (self.j2 + 1) % size
             c2 = self.mi[self.j2]
+        self._slots += 1
+        if self._slots % size == 0:
+            # Window end: fresh rates; indices are redrawn every
+            # RESEED_INDEX_EVERY windows, and in every window when the set has
+            # fewer than three channels (there every rate draw is 1, so two
+            # such clocks advance in permanent lockstep and a rate reseed
+            # alone can never change their relative offset).
+            self.r1 = self._draw_rate()
+            self.r2 = self._draw_rate()
+            if size < 3 or self._slots % (size * self.RESEED_INDEX_EVERY) == 0:
+                self.j1 = self._rng.randrange(size)
+                self.j2 = self._rng.randrange(size)
         return c2
-
-    def select(self, half):
-        if half == 0:
-            return self.first_half()
-        return self.second_half(self._c1)
-
-    def end_slot(self):
-        self.t += 1
-        if self.t >= len(self.mi):
-            self.reseed_rates()
 
 
 class RandomClock:
@@ -115,9 +92,6 @@ class RandomClock:
 
     def select(self, half):
         return self.pool[self._rng.randrange(len(self.pool))]
-
-    def end_slot(self):
-        pass
 
 
 class ModularClock:
@@ -144,7 +118,9 @@ class ModularClock:
         self.per_slot = per_slot
         self._dwell = None
 
-    def _advance(self):
+    def select(self, half):
+        if self.per_slot and half == 1:
+            return self._dwell
         self.j = (self.j + self.r) % self.p
         self._steps += 1
         if self._steps >= 2 * self.p:
@@ -152,18 +128,10 @@ class ModularClock:
             self.j = self._rng.randrange(self.p)
             self._steps = 0
         if self.j >= len(self.mi):
-            return self.mi[self._rng.randrange(len(self.mi))]
-        return self.mi[self.j]
-
-    def select(self, half):
-        if not self.per_slot:
-            return self._advance()
-        if half == 0:
-            self._dwell = self._advance()
+            self._dwell = self.mi[self._rng.randrange(len(self.mi))]
+        else:
+            self._dwell = self.mi[self.j]
         return self._dwell
-
-    def end_slot(self):
-        pass
 
 
 PROTOCOLS = ("rcs", "mca", "emca", "mdmca", "mrdmca")

@@ -125,12 +125,62 @@ def test_dual_clock_matches_modular_oracle_within_a_window():
             assert got == expected
 
 
+def dual_clock_reseed_oracle(channels, seed, windows):
+    """Channel pairs of a dual clock built on random.Random(seed), reseeds included.
+
+    Replays the clock's draws from the same stream: j1, j2, r1, r2 at
+    construction; then, at the end of every window of |m_i| slots, r1 and r2,
+    plus j1 and j2 every RESEED_INDEX_EVERY windows or in every window when
+    the set has fewer than three channels. A rate draw is 1 for a set of one.
+    """
+    rng = random.Random(seed)
+    mi = sorted(channels)
+    mp, np_ = split_primality(mi)
+    size = len(mi)
+
+    def rate():
+        return rng.randrange(1, size) if size > 1 else 1
+
+    j1 = rng.randrange(size)
+    j2 = rng.randrange(size)
+    r1, r2 = rate(), rate()
+    out = []
+    for window in range(1, windows + 1):
+        for _ in range(size):
+            j1 = (j1 + r1) % size
+            c1 = mp[j1 % len(mp)] if mp else mi[j1]
+            j2 = (j2 + r2) % size
+            c2 = np_[j2 % len(np_)] if np_ else mi[j2]
+            if c2 == c1:
+                j2 = (j2 + 1) % size
+                c2 = mi[j2]
+            out.append((c1, c2))
+        r1, r2 = rate(), rate()
+        if size < 3 or window % DualModularClock.RESEED_INDEX_EVERY == 0:
+            j1 = rng.randrange(size)
+            j2 = rng.randrange(size)
+    return out
+
+
+def test_dual_clock_matches_oracle_across_reseeds():
+    # select alone drives the clock: it counts its own slots and reseeds at
+    # each window end, so 40 windows cross one index redraw (window 30) and,
+    # for sets of fewer than three channels, an index redraw every window
+    windows = 40
+    for chans in ((3, 5), (2, 3, 5), tuple(range(1, 11)), (1, 4, 6, 8),
+                  (2, 4, 5, 9, 10, 11, 12)):
+        for seed in range(5):
+            clock = DualModularClock(chans, random.Random(seed))
+            got = [(clock.select(0), clock.select(1))
+                   for _ in range(windows * len(chans))]
+            assert got == dual_clock_reseed_oracle(chans, seed, windows)
+
+
 def test_rates_and_indices_stay_in_range_across_reseeds():
     clock = DualModularClock(range(1, 11), random.Random(5))
     for _ in range(300):
         clock.select(0)
         clock.select(1)
-        clock.end_slot()
         assert 0 <= clock.j1 < 10 and 0 <= clock.j2 < 10
         assert 1 <= clock.r1 < 10 and 1 <= clock.r2 < 10
 
@@ -148,8 +198,6 @@ def test_reseed_breaks_index_lockstep_between_clocks():
         for half in (0, 1):
             if a.select(half) == b.select(half):
                 met = True
-        a.end_slot()
-        b.end_slot()
     assert met
 
 
@@ -158,7 +206,6 @@ def test_two_channel_set_forces_unit_rates():
     for _ in range(50):
         clock.select(0)
         clock.select(1)
-        clock.end_slot()
         assert clock.r1 == 1 and clock.r2 == 1
 
 
@@ -217,7 +264,6 @@ def test_per_slot_clock_dwells_for_both_halves():
     for _ in range(100):
         c1 = dwell.select(0)
         assert dwell.select(1) == c1
-        dwell.end_slot()
 
 
 def test_half_slot_clock_advances_every_half():
@@ -256,6 +302,4 @@ def test_seeded_clock_sequences_are_reproducible():
         for slot in range(200):
             seq_a += [a.select(0), a.select(1)]
             seq_b += [b.select(0), b.select(1)]
-            a.end_slot()
-            b.end_slot()
         assert seq_a == seq_b
