@@ -157,8 +157,8 @@ def run_once(cfg, topo=None, chans=None, trace=None):
               for i in range(n)]
     usable = [frozenset(chans.sets[i]) for i in range(n)]
     neighbour_sets = topo.dnl_star
-    states = [proto.NodeState(i, neighbour_sets[i], cfg.validate_coords)
-              for i in range(n)]
+    in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
+    states = [proto.NodeState(i, in_range[i]) for i in range(n)]
 
     t_n1 = [None] * n
     t_full = [None] * n

@@ -3,10 +3,11 @@
 The three tables are plain sets of node ids, kept pairwise disjoint and never
 containing the owner. DNL (verified) membership comes only from a completed
 direct handshake. Everything else a node hears is gossip and is sorted by one
-rule: with coordinate validation, gossiped nodes within range go to IDN
-(handshake pending) and the rest to INL (indirect); without validation all of
-them go to INL, which is exactly the classification that makes N-1
-termination premature.
+rule: gossiped nodes in the node's in-range set go to IDN (handshake pending)
+and the rest to INL (indirect). A node without coordinate validation can
+confirm nothing as in range, so its in-range set is empty and all gossip goes
+to INL, which is exactly the classification that makes N-1 termination
+premature.
 """
 
 BASELINE = "baseline"        # fire at |DNL u INL| = N-1
@@ -18,19 +19,20 @@ TERMINATION_MODES = (BASELINE, CONTROLLED, RUN_TO_FULL)
 class NodeState:
     """Neighbour tables of one node.
 
-    in_range is the set of nodes within transmission range of the owner,
-    normally `topo.dnl_star[node_id]`. The deployment computes it with the
-    same inclusive `hypot(dx, dy) <= r` test a node would apply to the true
+    in_range is the set of gossiped nodes the owner can confirm to be within
+    transmission range. With coordinate validation it is
+    `topo.dnl_star[node_id]`: the deployment computes that set with the same
+    inclusive `hypot(dx, dy) <= r` test a node would apply to the true
     coordinates gossiped with each table entry, so membership in it is the
-    coordinate check of the validating protocol.
+    coordinate check of the validating protocol. Without validation it is
+    empty.
     """
 
-    __slots__ = ("node_id", "in_range", "validate_coords", "dnl", "inl", "idn")
+    __slots__ = ("node_id", "in_range", "dnl", "inl", "idn")
 
-    def __init__(self, node_id, in_range, validate_coords):
+    def __init__(self, node_id, in_range):
         self.node_id = node_id
         self.in_range = in_range
-        self.validate_coords = validate_coords
         self.dnl = set()
         self.inl = set()
         self.idn = set()
@@ -42,13 +44,10 @@ class NodeState:
     def learn(self, learned):
         """File gossiped nodes under INL or IDN; never demotes from DNL."""
         learned = learned - self.dnl - {self.node_id}
-        if self.validate_coords:
-            near = learned & self.in_range
-            self.idn |= near
-            self.inl -= near
-            self.inl |= learned - near
-        else:
-            self.inl |= learned - self.idn
+        near = learned & self.in_range
+        self.idn |= near
+        self.inl -= near
+        self.inl |= learned - near
 
     def add_direct(self, u):
         """Record a completed handshake with u."""

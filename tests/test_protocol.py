@@ -18,7 +18,8 @@ from rendezsim.topology import _build_topology, deploy
 
 
 def make_node(node_id, validate, in_range=()):
-    return NodeState(node_id, frozenset(in_range), validate)
+    # a node without coordinate validation can confirm no gossiped node in range
+    return NodeState(node_id, frozenset(in_range) if validate else frozenset())
 
 
 def table_invariants(state):
@@ -55,7 +56,7 @@ def test_gossiped_out_of_range_node_lands_in_inl():
 def test_boundary_distance_is_in_range():
     # node 1 sits exactly r away; the deployment's in-range set includes it
     topo = _build_topology([(0.0, 0.0), (100.0, 0.0)], 100.0, (100.0, 100.0))
-    a = NodeState(0, topo.dnl_star[0], True)
+    a = NodeState(0, topo.dnl_star[0])
     a.learn({1})
     assert a.idn == {1}
 
@@ -170,7 +171,8 @@ def test_set_rule_matches_the_coordinate_message_reference():
         topo = deploy(n, (side, side), 100.0, rng_seed=seed)
         edges = sorted(topo.edges)
         for validate in (True, False):
-            nodes = [NodeState(i, topo.dnl_star[i], validate) for i in range(n)]
+            nodes = [NodeState(i, topo.dnl_star[i] if validate else frozenset())
+                     for i in range(n)]
             refs = [ReferenceNode(i, topo.coords[i], 100.0, validate)
                     for i in range(n)]
             for _ in range(4 * n):
