@@ -1,7 +1,6 @@
 """Scenario grids, deterministic batch replication, and CSV emission."""
 
 import hashlib
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from itertools import product
@@ -90,7 +89,6 @@ def _execute(item):
 @dataclass
 class GridResult:
     grid: ScenarioGrid
-    cell_records: dict        # cell_index -> list of completed RunRecord
     run_rows: list            # per-run CSV rows in (cell, run) order
     aggregate_rows: list
     incomplete: int
@@ -132,48 +130,33 @@ def run_grid(grid, workers=1):
         if not records:
             continue
         aggregate_rows.append(aggregate_row(grid.name, cfg, aggregate(records)))
-    return GridResult(grid=grid, cell_records=cell_records, run_rows=run_rows,
+    return GridResult(grid=grid, run_rows=run_rows,
                       aggregate_rows=aggregate_rows, incomplete=incomplete)
 
 
-def _metadata_lines(grid, incomplete):
+def _csv_text(columns, rows, result):
     from . import __version__
-    return [
+    grid = result.grid
+    lines = [
         f"# rendezsim {__version__}",
         f"# grid {grid.name} hash={grid.grid_hash()} master_seed={grid.master_seed}",
-        f"# incomplete_runs={incomplete} (flagged rows excluded from means)",
+        f"# incomplete_runs={result.incomplete} (flagged rows excluded from means)",
         "# time unit: slots at half-slot resolution; ttr_full uses first "
         "half-slot with N-1 and DNL equal to ground truth",
         "# rate reseed cadence: dual clocks every |m_i| slots, "
         "modular-clock baselines every 2p half-slots",
+        ",".join(columns),
     ]
-
-
-def write_csv(path_or_stream, columns, rows, grid, incomplete):
-    own = isinstance(path_or_stream, str)
-    stream = open(path_or_stream, "w", newline="") if own else path_or_stream
-    try:
-        for line in _metadata_lines(grid, incomplete):
-            stream.write(line + "\n")
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(row) + "\n")
-    finally:
-        if own:
-            stream.close()
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def aggregate_csv(result):
-    buf = io.StringIO()
-    write_csv(buf, AGGREGATE_COLUMNS, result.aggregate_rows,
-              result.grid, result.incomplete)
-    return buf.getvalue()
+    return _csv_text(AGGREGATE_COLUMNS, result.aggregate_rows, result)
 
 
 def runs_csv(result):
-    buf = io.StringIO()
-    write_csv(buf, RUN_COLUMNS, result.run_rows, result.grid, result.incomplete)
-    return buf.getvalue()
+    return _csv_text(RUN_COLUMNS, result.run_rows, result)
 
 
 BASELINE_PROTOCOLS = ("rcs", "mca", "emca", "mdmca")

@@ -91,32 +91,28 @@ class AggregateMetrics:
 
 
 def aggregate(records):
-    """ATTR/ATM/PTDD with 95% half-widths over one scenario's records."""
+    """ATTR/ATM/PTDD with 95% half-widths over one scenario's records.
+
+    Each record's node means are taken once. An ATTR is None when some run
+    lacks its mark; the ATTR half-width is over the policy marks, or over the
+    full-discovery marks when the policy never fired.
+    """
     _check_same_scenario(records)
-
-    def try_attr(which):
-        try:
-            return attr(records, which)
-        except AggregationError:
-            return None
-
-    attr_policy = try_attr("policy")
-    attr_n1 = try_attr("n1")
-    attr_full = try_attr("full")
+    means = {which: [r.node_mean(which) for r in records]
+             for which in ("policy", "n1", "full")}
+    attrs = {which: None if None in m else sum(m) / len(m)
+             for which, m in means.items()}
+    n1, full = attrs["n1"], attrs["full"]
+    primary = "policy" if attrs["policy"] is not None else "full"
     ctm_values = [r.ctm for r in records]
-    atm = sum(ctm_values) / len(ctm_values)
-    delay = (attr_full - attr_n1
-             if attr_full is not None and attr_n1 is not None else None)
-    primary = "policy" if attr_policy is not None else "full"
-    primary_means = [r.node_mean(primary) for r in records]
     return AggregateMetrics(
         runs=len(records),
-        attr_policy=attr_policy,
-        attr_n1=attr_n1,
-        attr_full=attr_full,
-        atm=atm,
-        ptdd=delay,
-        attr_ci95=_ci95(primary_means),
+        attr_policy=attrs["policy"],
+        attr_n1=n1,
+        attr_full=full,
+        atm=sum(ctm_values) / len(ctm_values),
+        ptdd=None if n1 is None or full is None else full - n1,
+        attr_ci95=_ci95(means[primary]),
         atm_ci95=_ci95(ctm_values),
     )
 

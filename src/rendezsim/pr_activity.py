@@ -124,10 +124,8 @@ class ChannelOccupancy:
         arrival inside the interval disrupts it just like one already present
         at the start. Peeks at the next scheduled transition without
         advancing the process, so later queries at the same boundary are
-        unaffected.
+        unaffected; with PR off that transition is at infinity.
         """
         if self.is_busy(channel, half_slot_index):
             return True
-        if not self.params.enabled:
-            return False
         return self._next[channel - 1] <= (half_slot_index + 1) * 0.5
