@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from itertools import product
 
-from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS, DEFAULT_RANGE_M
+from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS
 from .hopping import PROTOCOLS
 from .metrics import aggregate, aggregate_row, AGGREGATE_COLUMNS, fmt
 from .pr_activity import PrParams
@@ -37,7 +37,6 @@ class ScenarioGrid:
     pr_levels: tuple       # names: "off", "high" or "lx:ly"
     runs: int
     master_seed: int = 0
-    range_m: float = DEFAULT_RANGE_M
     max_slots: int = DEFAULT_MAX_SLOTS
     fix_topology: bool = False
 
@@ -48,7 +47,7 @@ class ScenarioGrid:
             yield idx, RunConfig(
                 protocol=protocol, termination=termination, n_nodes=n,
                 pool_size=c, similarity=m, pr=PrParams.from_name(pr),
-                range_m=self.range_m, max_slots=self.max_slots,
+                max_slots=self.max_slots,
             )
 
     def grid_hash(self):
@@ -201,7 +200,7 @@ _LIST_KEYS = {
     "nodes": int, "channels": int, "similarity": int,
 }
 _SCALAR_KEYS = {
-    "name": str, "runs": int, "seed": int, "range": float,
+    "name": str, "runs": int, "seed": int,
     "max_slots": int, "fix_topology": lambda v: v.lower() in ("1", "true", "yes"),
 }
 
@@ -210,7 +209,7 @@ def parse_grid_config(text):
     """Line-oriented `key = value` grid config with comma-separated lists.
 
     Keys: name, protocols, terminations, nodes, channels, similarity, pr,
-    runs, seed, range, max_slots, fix_topology. Lines starting with # are
+    runs, seed, max_slots, fix_topology. Lines starting with # are
     comments.
     """
     values = {}
@@ -243,7 +242,6 @@ def parse_grid_config(text):
         pr_levels=values["pr"],
         runs=values["runs"],
         master_seed=values.get("seed", 0),
-        range_m=values.get("range", DEFAULT_RANGE_M),
         max_slots=values.get("max_slots", DEFAULT_MAX_SLOTS),
         fix_topology=values.get("fix_topology", False),
     )

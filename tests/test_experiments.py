@@ -118,6 +118,9 @@ def test_parse_grid_config_errors():
         parse_grid_config("nonsense line")
     with pytest.raises(ValueError):
         parse_grid_config("colour = blue")
+    # the area scales with the range, so a grid-wide range changed nothing
+    with pytest.raises(ValueError, match="unknown key 'range'"):
+        parse_grid_config("range = 150")
 
 
 # --- CLI end to end ---------------------------------------------------------
