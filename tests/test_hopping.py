@@ -24,7 +24,8 @@ def dual_clock_oracle(channels, j1, r1, j2, r2, steps):
     used in the first half-slot, the non-prime subset in the second, the full
     set as fallback, and the step-one shift when both halves would coincide.
     Rate reseeds are outside the oracle's scope, so steps must stay within one
-    reseed window (|m_i| slots).
+    reseed window (|m_i| slots). Returns the pairs and the final (j1, j2), so
+    windows can be chained across reseeds.
     """
     mi = sorted(channels)
     mp, np_ = split_primality(mi)
@@ -39,7 +40,7 @@ def dual_clock_oracle(channels, j1, r1, j2, r2, steps):
             j2 = (j2 + 1) % size
             c2 = mi[j2]
         out.append((c1, c2))
-    return out
+    return out, j1, j2
 
 
 def set_dual_state(clock, j1, r1, j2, r2):
@@ -117,7 +118,7 @@ def test_dual_clock_matches_modular_oracle_within_a_window():
             r2 = rng.randrange(1, size)
             clock = DualModularClock(chans, random.Random(0))
             set_dual_state(clock, j1, r1, j2, r2)
-            expected = dual_clock_oracle(chans, j1, r1, j2, r2, size)
+            expected, _, _ = dual_clock_oracle(chans, j1, r1, j2, r2, size)
             got = []
             for _ in range(size):  # one reseed window
                 c1 = clock.select(0)
@@ -134,9 +135,7 @@ def dual_clock_reseed_oracle(channels, seed, windows):
     the set has fewer than three channels. A rate draw is 1 for a set of one.
     """
     rng = random.Random(seed)
-    mi = sorted(channels)
-    mp, np_ = split_primality(mi)
-    size = len(mi)
+    size = len(channels)
 
     def rate():
         return rng.randrange(1, size) if size > 1 else 1
@@ -146,15 +145,8 @@ def dual_clock_reseed_oracle(channels, seed, windows):
     r1, r2 = rate(), rate()
     out = []
     for window in range(1, windows + 1):
-        for _ in range(size):
-            j1 = (j1 + r1) % size
-            c1 = mp[j1 % len(mp)] if mp else mi[j1]
-            j2 = (j2 + r2) % size
-            c2 = np_[j2 % len(np_)] if np_ else mi[j2]
-            if c2 == c1:
-                j2 = (j2 + 1) % size
-                c2 = mi[j2]
-            out.append((c1, c2))
+        pairs, j1, j2 = dual_clock_oracle(channels, j1, r1, j2, r2, size)
+        out += pairs
         r1, r2 = rate(), rate()
         if size < 3 or window % DualModularClock.RESEED_INDEX_EVERY == 0:
             j1 = rng.randrange(size)
