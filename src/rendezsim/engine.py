@@ -20,8 +20,10 @@ def default_area_side(n_nodes, range_m=DEFAULT_RANGE_M):
 
     Grows superlinearly for small networks (keeping a 3-node deployment dense
     enough to be mostly triangles) and switches to a square-root law past ten
-    nodes so the mean unit-disk degree stays above ~3 and connected uniform
-    deployments remain cheap to sample by rejection.
+    nodes so the mean unit-disk degree stays above ~3. That degree does not
+    grow like log N, so rejection sampling of connected deployments gets
+    steeply dearer with N: roughly 10 attempts per deploy at N=10, 100 at
+    N=20 and 2 000 at N=30, and at N=50 most deploys exhaust the attempt cap.
     """
     return range_m * min(0.5 * n_nodes ** 0.8, 0.99 * math.sqrt(n_nodes))
 
@@ -56,7 +58,8 @@ class RunConfig:
     def validate_coords(self):
         # coordinate validation is the MR- enhancement; it is always on for
         # mrdmca and switched on for every protocol under controlled
-        # termination (the MR- variants of the controlled scenario)
+        # termination (the MR- variants of the controlled scenario), which is
+        # what makes the shared N-1 stop safe there
         return self.protocol == "mrdmca" or self.termination == proto.CONTROLLED
 
     def scenario_key(self):
@@ -70,9 +73,10 @@ class RunRecord:
 
     Times are in slots at half-slot resolution (multiples of 0.5). t_n1 is the
     first time |DNL u INL| = N-1 held; t_full the first time that condition
-    held with DNL equal to ground truth; t_term the policy termination time
-    (None under run_to_full). ptm/ctm are evaluated on the DNL frozen at each
-    node's termination (at t_full when the policy never fires).
+    held with DNL equal to ground truth; t_term the policy's stop mark, which
+    equals t_n1 whenever the policy fires (baseline, controlled) and is all
+    None under run_to_full. ptm/ctm are taken on the DNL frozen at each
+    node's stop mark (t_n1, or t_full under run_to_full).
     """
 
     scenario: tuple
@@ -162,27 +166,26 @@ def run_once(cfg, topo=None, chans=None, trace=None):
 
     t_n1 = [None] * n
     t_full = [None] * n
-    t_term = [None] * n
-    dnl_at_term = [None] * n
+    ptm_values = [None] * n  # filled at each node's stop mark
     run_to_full = cfg.termination == proto.RUN_TO_FULL
     pending = set(range(n))  # nodes still missing their stop mark
 
     def update_marks(i, tnow, slot, half):
         st = states[i]
-        n1 = len(st.dnl) + len(st.inl) == n - 1
-        if n1 and t_n1[i] is None:
+        if not proto.check_termination(st, n):
+            return
+        if t_n1[i] is None:
             t_n1[i] = tnow
-        if t_full[i] is None and n1 and st.dnl == neighbour_sets[i]:
+            if not run_to_full:
+                pending.discard(i)
+                ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
+                if trace is not None:
+                    trace.write(f"{slot} {half} {i} - terminate dnl={sorted(st.dnl)}\n")
+        if t_full[i] is None and st.dnl == neighbour_sets[i]:
             t_full[i] = tnow
             if run_to_full:
                 pending.discard(i)
-        if t_term[i] is None and proto.check_termination(st, cfg.termination, n):
-            t_term[i] = tnow
-            dnl_at_term[i] = frozenset(st.dnl)
-            if not run_to_full:
-                pending.discard(i)
-            if trace is not None:
-                trace.write(f"{slot} {half} {i} - terminate dnl={sorted(st.dnl)}\n")
+                ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
 
     slot = 0
     half_index = 0
@@ -215,17 +218,13 @@ def run_once(cfg, topo=None, chans=None, trace=None):
             half_index += 1
         slot += 1
 
-    ptm_values = [ptm(dnl_at_term[i] if dnl_at_term[i] is not None else states[i].dnl,
-                      neighbour_sets[i])
-                  for i in range(n)]
-
     return RunRecord(
         scenario=cfg.scenario_key(),
         seed=cfg.seed,
         slots_used=slot,
         t_n1=t_n1,
         t_full=t_full,
-        t_term=t_term,
+        t_term=[None] * n if run_to_full else list(t_n1),
         ptm=ptm_values,
         ctm=ctm(ptm_values),
         final_dnl=[frozenset(st.dnl) for st in states],

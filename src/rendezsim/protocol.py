@@ -1,4 +1,4 @@
-"""Per-node rendezvous state: neighbour tables, handshake, termination policy.
+"""Per-node rendezvous state: neighbour tables, handshake, the N-1 rule.
 
 The three tables are plain sets of node ids, kept pairwise disjoint and never
 containing the owner. DNL (verified) membership comes only from a completed
@@ -8,11 +8,15 @@ and the rest to INL (indirect). A node without coordinate validation can
 confirm nothing as in range, so its in-range set is empty and all gossip goes
 to INL, which is exactly the classification that makes N-1 termination
 premature.
+
+Every stopping policy uses the same N-1 rule (`check_termination`); the
+controlled policy is that rule under coordinate validation, where a pending
+IDN entry already keeps the count short.
 """
 
-BASELINE = "baseline"        # fire at |DNL u INL| = N-1
-CONTROLLED = "controlled"    # additionally require IDN empty
-RUN_TO_FULL = "run_to_full"  # never fire; engine stops at full discovery
+BASELINE = "baseline"        # stop at the first N-1 mark
+CONTROLLED = "controlled"    # the same, with coordinate validation
+RUN_TO_FULL = "run_to_full"  # never stop at N-1; stop at full discovery
 TERMINATION_MODES = (BASELINE, CONTROLLED, RUN_TO_FULL)
 
 
@@ -68,18 +72,13 @@ def process_handshake(a, b):
     a.learn(b.known())
 
 
-def check_termination(state, policy, n_nodes):
-    """Whether the node may terminate under the policy.
+def check_termination(state, n_nodes):
+    """The N-1 rule: verified plus indirectly reported nodes account for N-1.
 
-    The N-1 condition counts handshake-verified plus indirectly reported
-    nodes; pending IDN members count toward neither, so a validating node can
-    only satisfy it once every in-range node has been verified directly.
+    The tables are disjoint and never hold the owner, so |DNL| + |INL| +
+    |IDN| <= N-1 and the rule can only hold with IDN empty: a pending
+    verification already blocks it. A validating node files every gossiped
+    in-range node under IDN, so it satisfies the rule only once each of its
+    in-range neighbours has been verified directly.
     """
-    if policy == RUN_TO_FULL:
-        return False
-    n1 = len(state.dnl) + len(state.inl) == n_nodes - 1
-    if policy == BASELINE:
-        return n1
-    if policy == CONTROLLED:
-        return n1 and not state.idn
-    raise ValueError(f"unknown termination policy {policy!r}")
+    return len(state.dnl) + len(state.inl) == n_nodes - 1

@@ -1,19 +1,10 @@
-"""Neighbour-table state machine and termination-policy tests."""
+"""Neighbour-table state machine and N-1 termination rule tests."""
 
 import math
 import random
 
-import pytest
-
 from rendezsim.engine import default_area_side
-from rendezsim.protocol import (
-    BASELINE,
-    CONTROLLED,
-    RUN_TO_FULL,
-    NodeState,
-    check_termination,
-    process_handshake,
-)
+from rendezsim.protocol import NodeState, check_termination, process_handshake
 from rendezsim.topology import _build_topology, deploy
 
 
@@ -164,6 +155,7 @@ def reference_handshake(a, b):
 
 
 def test_set_rule_matches_the_coordinate_message_reference():
+    fired = {True: 0, False: 0}
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randint(3, 12)
@@ -181,52 +173,49 @@ def test_set_rule_matches_the_coordinate_message_reference():
                     i, j = j, i
                 process_handshake(nodes[i], nodes[j])
                 reference_handshake(refs[i], refs[j])
-                for node, ref in zip(nodes, refs):
+                for k, (node, ref) in enumerate(zip(nodes, refs)):
                     assert (node.dnl, node.inl, node.idn) == (ref.dnl, ref.inl, ref.idn)
                     table_invariants(node)
+                    # the engine stops every policy on this rule alone: a
+                    # pending verification must already block it, and under
+                    # validation it must only hold on the true neighbours
+                    if check_termination(node, n):
+                        fired[validate] += 1
+                        assert not node.idn
+                        if validate:
+                            assert node.dnl == topo.dnl_star[k]
+    assert fired[True] and fired[False]
 
 
 def test_termination_three_node_chain_controlled():
     a = make_node(0, validate=True)
     a.dnl = {1}
     a.inl = {2}
-    assert check_termination(a, CONTROLLED, 3)
-    assert check_termination(a, BASELINE, 3)
+    assert check_termination(a, 3)
 
 
 def test_pending_verification_blocks_both_policies_by_disjointness():
-    # a pending IDN entry does not count toward N-1, so neither policy fires
+    # a pending IDN entry does not count toward N-1, so the one rule every
+    # stopping policy uses cannot hold
     a = make_node(0, validate=True)
     a.dnl = {1}
     a.idn = {2}
-    assert not check_termination(a, BASELINE, 3)
-    assert not check_termination(a, CONTROLLED, 3)
+    assert not check_termination(a, 3)
 
 
 def test_premature_termination_witness():
     # a non-validating node hears about its still-unverified in-range
     # neighbour 2 and files it under INL; the N-1 count fires anyway. A
-    # validating node keeps 2 pending in IDN, which blocks the count and the
-    # controlled policy until the handshake happens.
+    # validating node keeps 2 pending in IDN, which blocks the count until
+    # the handshake happens.
     blind = make_node(0, validate=False, in_range={1, 2})
     blind.dnl = {1}
     blind.learn({2, 3})
-    assert check_termination(blind, BASELINE, 4)
+    assert check_termination(blind, 4)
 
     careful = make_node(0, validate=True, in_range={1, 2})
     careful.dnl = {1}
     careful.learn({2, 3})
-    assert not check_termination(careful, BASELINE, 4)
-    assert not check_termination(careful, CONTROLLED, 4)
-
-
-def test_run_to_full_never_fires():
-    a = make_node(0, validate=True)
-    a.dnl = {1, 2}
-    assert not check_termination(a, RUN_TO_FULL, 3)
-
-
-def test_unknown_policy_rejected():
-    a = make_node(0, validate=True)
-    with pytest.raises(ValueError):
-        check_termination(a, "whenever", 3)
+    assert not check_termination(careful, 4)
+    careful.add_direct(2)
+    assert check_termination(careful, 4)
