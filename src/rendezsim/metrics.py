@@ -14,7 +14,7 @@ Z95 = 1.96
 
 
 class AggregationError(ValueError):
-    """Mixed scenarios or missing time marks in an aggregation."""
+    """An aggregation over no records or over mixed scenarios."""
 
 
 def ptm(discovered_dnl, ground_dnl):
@@ -35,38 +35,6 @@ def ctm(ptm_values):
     if not values:
         raise ValueError("need at least one PTM value")
     return sum(values) / len(values)
-
-
-def _check_same_scenario(records):
-    if not records:
-        raise AggregationError("no run records to aggregate")
-    keys = {r.scenario for r in records}
-    if len(keys) > 1:
-        raise AggregationError(f"mixed scenarios in aggregation: {sorted(keys)}")
-
-
-def attr(records, which="policy"):
-    """Mean over runs of the per-run node-mean of a time mark (in slots).
-
-    which selects the mark: 'policy' (termination time), 'n1' (first N-1
-    point) or 'full' (first fully correct point).
-    """
-    _check_same_scenario(records)
-    means = []
-    for r in records:
-        m = r.node_mean(which)
-        if m is None:
-            raise AggregationError(f"run seed {r.seed} is missing the {which!r} mark")
-        means.append(m)
-    return sum(means) / len(means)
-
-
-def ptdd(records):
-    """Post-termination discovery delay: attr(full) - attr(n1).
-
-    Requires records produced in run-to-full mode so both marks exist.
-    """
-    return attr(records, "full") - attr(records, "n1")
 
 
 def _ci95(values):
@@ -93,11 +61,17 @@ class AggregateMetrics:
 def aggregate(records):
     """ATTR/ATM/PTDD with 95% half-widths over one scenario's records.
 
-    Each record's node means are taken once. An ATTR is None when some run
-    lacks its mark; the ATTR half-width is over the policy marks, or over the
-    full-discovery marks when the policy never fired.
+    An ATTR is the mean over runs of each run's node mean of one time mark
+    (policy stop, first N-1, first full discovery), taken once per record,
+    and None when some run lacks the mark; PTDD is attr_full - attr_n1. The
+    ATTR half-width is over the policy marks, or over the full-discovery
+    marks when the policy never fired.
     """
-    _check_same_scenario(records)
+    if not records:
+        raise AggregationError("no run records to aggregate")
+    keys = {r.scenario for r in records}
+    if len(keys) > 1:
+        raise AggregationError(f"mixed scenarios in aggregation: {sorted(keys)}")
     means = {which: [r.node_mean(which) for r in records]
              for which in ("policy", "n1", "full")}
     attrs = {which: None if None in m else sum(m) / len(m)

@@ -8,10 +8,8 @@ from rendezsim.metrics import (
     AggregationError,
     aggregate,
     aggregate_row,
-    attr,
     ctm,
     fmt,
-    ptdd,
     ptm,
 )
 from rendezsim.pr_activity import PrParams
@@ -55,34 +53,37 @@ def test_ctm_examples():
 
 def test_attr_single_run_node_mean():
     rec = FakeRecord(t_term=[2.0, 4.0])
-    assert attr([rec]) == 3.0
+    assert aggregate([rec]).attr_policy == 3.0
 
 
 def test_attr_is_a_nested_mean():
     # per-run node means first, then the mean over runs: the 3-node run does
     # not get more weight than the 1-node value would suggest
-    runs = [FakeRecord(t_term=[2.0, 4.0, 3.0]), FakeRecord(t_term=[5.0])]
-    assert attr(runs) == 4.0
+    runs = [FakeRecord(t_term=[2.0, 4.0, 3.0], t_n1=[2.0, 4.0, 3.0]),
+            FakeRecord(t_term=[5.0], t_n1=[5.0])]
+    agg = aggregate(runs)
+    assert agg.attr_policy == agg.attr_n1 == 4.0
 
 
-def test_attr_missing_marks_raise():
+def test_aggregate_without_runs_raises():
     with pytest.raises(AggregationError):
-        attr([FakeRecord(t_term=None)])
-    with pytest.raises(AggregationError):
-        attr([])
+        aggregate([])
 
 
 def test_mixed_scenarios_rejected():
     runs = [FakeRecord(scenario="a", t_term=[1.0]),
             FakeRecord(scenario="b", t_term=[1.0])]
     with pytest.raises(AggregationError):
-        attr(runs)
+        aggregate(runs)
 
 
 def test_ptdd_is_full_minus_n1():
     runs = [FakeRecord(t_n1=[10.0, 12.0], t_full=[15.0, 19.0]),
             FakeRecord(t_n1=[8.0], t_full=[10.0])]
-    assert ptdd(runs) == pytest.approx((17.0 + 10.0) / 2 - (11.0 + 8.0) / 2)
+    agg = aggregate(runs)
+    assert agg.attr_full == (17.0 + 10.0) / 2
+    assert agg.attr_n1 == (11.0 + 8.0) / 2
+    assert agg.ptdd == pytest.approx((17.0 + 10.0) / 2 - (11.0 + 8.0) / 2)
 
 
 def test_aggregate_handles_runs_without_policy_marks():
@@ -122,7 +123,7 @@ def test_metrics_match_independent_recomputation_on_real_runs():
         scores = [100.0 * len(rec.final_dnl[i] & topo.dnl_star[i])
                   / len(topo.dnl_star[i]) for i in range(5)]
         assert rec.ctm == pytest.approx(sum(scores) / 5)
-    assert attr(records) == pytest.approx(
+    assert aggregate(records).attr_policy == pytest.approx(
         sum(sum(r.t_term) / 5 for r in records) / 5)
 
 
