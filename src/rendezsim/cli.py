@@ -7,10 +7,9 @@ from dataclasses import replace
 from .engine import RunConfig, IncompleteRun, run_once
 from .experiments import (
     ScenarioGrid, run_grid, paper_grid, parse_grid_config,
-    aggregate_csv, runs_csv, RUN_COLUMNS, _run_configs,
+    aggregate_csv, runs_csv, run_row, RUN_COLUMNS, _run_configs,
 )
 from .hopping import PROTOCOLS
-from .metrics import fmt
 from .pr_activity import PrParams
 from .protocol import TERMINATION_MODES
 from .topology import DeploymentError
@@ -139,8 +138,11 @@ def _cmd_audit(args):
             raise ValueError(f"{args.csv}: row {line!r} does not have "
                              f"{len(RUN_COLUMNS)} columns")
         row = dict(zip(RUN_COLUMNS, cells))
-        if row["completed"] != "yes":
+        if row["completed"] == "incomplete":
             continue
+        if row["completed"] != "yes":
+            raise ValueError(f"{args.csv}: row {line!r} is neither completed "
+                             f"(yes) nor incomplete")
         cfg = RunConfig(
             protocol=row["protocol"], termination=row["termination"],
             n_nodes=int(row["N"]), pool_size=int(row["C"]),
@@ -157,14 +159,12 @@ def _cmd_audit(args):
             print(f"audit: run {row['run_index']}: recorded as completed, "
                   f"replay stopped: {exc}", file=sys.stderr)
             continue
-        for col, value in (("ttr_policy", record.node_mean("policy")),
-                           ("ttr_n1", record.node_mean("n1")),
-                           ("ttr_full", record.node_mean("full")),
-                           ("ctm", record.ctm)):
-            if fmt(value) != row[col]:
+        replayed = run_row(row["scenario"], row["run_index"], cfg, record)
+        for col, recorded, value in zip(RUN_COLUMNS, cells, replayed):
+            if value != recorded:
                 mismatches += 1
                 print(f"audit: run {row['run_index']} {col}: "
-                      f"recorded {row[col]!r}, replayed {fmt(value)!r}",
+                      f"recorded {recorded!r}, replayed {value!r}",
                       file=sys.stderr)
     print(f"audit: {checked} runs replayed, {mismatches} mismatch(es)")
     return 1 if mismatches else 0

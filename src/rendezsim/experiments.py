@@ -85,6 +85,21 @@ def _execute(item):
         return cell_index, run_index, cfg, None, str(exc)
 
 
+def run_row(scenario, run_index, cfg, record):
+    """One per-run CSV row (list of strings) in RUN_COLUMNS order.
+
+    record is None for a run that hit the safety cap; its row is flagged
+    `incomplete` and leaves the timing and accuracy cells empty.
+    """
+    row = [scenario, cfg.protocol, cfg.termination, str(cfg.n_nodes),
+           str(cfg.pool_size), str(cfg.similarity), cfg.pr.name,
+           str(run_index), str(cfg.seed), fmt(cfg.topo_seed), fmt(cfg.chan_seed)]
+    if record is None:
+        return row + ["", "", "", "", "incomplete"]
+    return row + [fmt(record.node_mean("policy")), fmt(record.node_mean("n1")),
+                  fmt(record.node_mean("full")), fmt(record.ctm), "yes"]
+
+
 @dataclass
 class GridResult:
     grid: ScenarioGrid
@@ -107,21 +122,11 @@ def run_grid(grid, workers=1):
     run_rows = []
     incomplete = 0
     for cell_index, run_index, cfg, record, error in results:
-        seeds = [str(cfg.seed),
-                 "" if cfg.topo_seed is None else str(cfg.topo_seed),
-                 "" if cfg.chan_seed is None else str(cfg.chan_seed)]
-        prefix = [grid.name, cfg.protocol, cfg.termination, str(cfg.n_nodes),
-                  str(cfg.pool_size), str(cfg.similarity), cfg.pr.name,
-                  str(run_index)] + seeds
+        run_rows.append(run_row(grid.name, run_index, cfg, record))
         if record is None:
             incomplete += 1
-            run_rows.append(prefix + ["", "", "", "", "incomplete"])
-            continue
-        cell_records.setdefault(cell_index, []).append(record)
-        run_rows.append(prefix + [
-            fmt(record.node_mean("policy")), fmt(record.node_mean("n1")),
-            fmt(record.node_mean("full")), fmt(record.ctm), "yes",
-        ])
+        else:
+            cell_records.setdefault(cell_index, []).append(record)
 
     aggregate_rows = []
     for cell_index, cfg in grid.cells():

@@ -255,9 +255,14 @@ def test_cli_audit_rejects_a_short_row(tmp_path, capsys):
     runs_out = tmp_path / "runs.csv"
     main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])
     capsys.readouterr()
-    runs_out.write_text(runs_out.read_text() + "run,rcs\n")
-    assert main(["audit", str(runs_out)]) == 2
-    assert "does not have 16 columns" in _one_error_line(capsys)
+    text = runs_out.read_text()
+    *rest, last = text.splitlines()
+    for bad_row, error in (("run,rcs", "does not have 16 columns"),
+                           (last.rsplit(",", 1)[0] + ",maybe",
+                            "is neither completed (yes) nor incomplete")):
+        runs_out.write_text(text + bad_row + "\n")
+        assert main(["audit", str(runs_out)]) == 2
+        assert error in _one_error_line(capsys)
 
 
 def test_console_entry_point_runs():
