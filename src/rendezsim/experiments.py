@@ -147,8 +147,8 @@ def _csv_text(columns, rows, result):
         f"# incomplete_runs={result.incomplete} (flagged rows excluded from means)",
         "# time unit: slots at half-slot resolution; ttr_full uses first "
         "half-slot with N-1 and DNL equal to ground truth",
-        "# rate reseed cadence: dual clocks every |m_i| slots, "
-        "modular-clock baselines every 2p half-slots",
+        "# rate reseed cadence: dual clocks every |m_i| slots, modular clocks "
+        "every 2p steps (2p half-slots for emca, 2p slots for mca)",
         ",".join(columns),
     ]
     lines += [",".join(row) for row in rows]

@@ -241,14 +241,25 @@ def test_modular_clock_prime_modulus_and_overflow():
 
 def test_modular_clock_resamples_index_and_rate_each_window():
     # after 2p steps both r and j are redrawn; a rate-only resample would
-    # freeze the offset between two same-modulus clocks forever
-    clock = ModularClock(range(1, 11), random.Random(0))
-    p = clock.p
-    states = set()
-    for _ in range(40 * p):
-        clock.select(0)
-        states.add((clock.j - 0) % p)
-    assert len(states) > p // 2  # the index offset keeps moving across windows
+    # freeze the offset between two same-modulus clocks forever. EMCA steps
+    # every half-slot and so redraws every 2p half-slots; MCA's per-slot
+    # clock steps only on half 0, so it redraws every 2p slots (4p half-slots)
+    for per_slot, half_slots_per_step in ((False, 1), (True, 2)):
+        clock = ModularClock(range(1, 11), random.Random(0), per_slot=per_slot)
+        p = clock.p
+        redraws, states = [], set()
+        for h in range(40 * p * half_slots_per_step):
+            steps = clock._steps
+            clock.select(h % 2)
+            if clock._steps < steps:
+                redraws.append(h)
+            states.add(clock.j)
+        # 40p steps hold 20 windows of 2p steps each
+        assert len(redraws) == 20
+        assert redraws[0] == (2 * p - 1) * half_slots_per_step
+        gaps = {b - a for a, b in zip(redraws, redraws[1:])}
+        assert gaps == {2 * p * half_slots_per_step}
+        assert len(states) > p // 2  # the index offset keeps moving across windows
 
 
 def test_per_slot_clock_dwells_for_both_halves():
