@@ -59,10 +59,8 @@ def test_attr_single_run_node_mean():
 def test_attr_is_a_nested_mean():
     # per-run node means first, then the mean over runs: the 3-node run does
     # not get more weight than the 1-node value would suggest
-    runs = [FakeRecord(t_term=[2.0, 4.0, 3.0], t_n1=[2.0, 4.0, 3.0]),
-            FakeRecord(t_term=[5.0], t_n1=[5.0])]
-    agg = aggregate(runs)
-    assert agg.attr_policy == agg.attr_n1 == 4.0
+    runs = [FakeRecord(t_term=[2.0, 4.0, 3.0]), FakeRecord(t_term=[5.0])]
+    assert aggregate(runs).attr_policy == 4.0
 
 
 def test_aggregate_without_runs_raises():
