@@ -1,19 +1,18 @@
 """Random connected deployments and their ground-truth neighbour tables.
 
-Draws unit-disk deployments at several network sizes, prints an ASCII map and
-degree statistics, and round-trips a deployment through the text exporter.
+Draws unit-disk deployments at several network sizes and prints an ASCII map,
+degree statistics and the number of pairs that need multihop discovery.
 """
 
-from rendezsim import deploy, export_deployment, load_deployment
+from rendezsim import deploy
 from rendezsim.engine import default_area_side
 
 
-def ascii_map(topo, cells=28):
-    w, h = topo.area
+def ascii_map(topo, side, cells=28):
     grid = [["." for _ in range(cells)] for _ in range(cells // 2)]
     for i, (x, y) in enumerate(topo.coords):
-        col = min(int(x / w * cells), cells - 1)
-        row = min(int(y / h * (cells // 2)), cells // 2 - 1)
+        col = min(int(x / side * cells), cells - 1)
+        row = min(int(y / side * (cells // 2)), cells // 2 - 1)
         grid[row][col] = str(i % 10)
     return "\n".join("  " + "".join(r) for r in grid)
 
@@ -23,20 +22,13 @@ def main():
         side = default_area_side(n)
         topo = deploy(n, (side, side), 100.0, rng_seed=n)
         degrees = [len(topo.dnl_star[i]) for i in range(n)]
-        print(f"N={n}: area {side:.0f} m square, {len(topo.edges)} links, "
+        links = sum(degrees) // 2
+        print(f"N={n}: area {side:.0f} m square, {links} links, "
               f"degrees min/mean/max = {min(degrees)}/"
               f"{sum(degrees) / n:.1f}/{max(degrees)}")
-        print(ascii_map(topo))
-        multihop = sum(len(topo.inl_star[i]) for i in range(n))
-        print(f"  out-of-range pairs needing multihop discovery: {multihop // 2}\n")
-
-    topo = deploy(5, (300.0, 300.0), 100.0, rng_seed=1)
-    text = export_deployment(topo)
-    clone = load_deployment(text, 100.0, area=topo.area)
-    print("export/import round-trip preserves the link set:",
-          clone.edges == topo.edges)
-    print("\nserialized form (id x y):")
-    print("\n".join("  " + line for line in text.splitlines()))
+        print(ascii_map(topo, side))
+        multihop = n * (n - 1) // 2 - links
+        print(f"  out-of-range pairs needing multihop discovery: {multihop}\n")
 
 
 if __name__ == "__main__":

@@ -6,18 +6,11 @@ neighbour-discovery protocol with pluggable termination, and the ATTR/ATM/PTDD
 metric pipeline.
 """
 
-from .topology import (
-    GroundTopology,
-    ChannelAssignment,
-    DeploymentError,
-    deploy,
-    assign_channels,
-    split_primality,
-    export_deployment,
-    load_deployment,
-)
+from .topology import GroundTopology, DeploymentError, deploy, assign_channels
 from .pr_activity import PrParams, ChannelOccupancy
-from .hopping import DualModularClock, RandomClock, ModularClock, make_clock
+from .hopping import (
+    DualModularClock, RandomClock, ModularClock, make_clock, split_primality,
+)
 from .protocol import NodeState, process_handshake, check_termination
 from .engine import RunConfig, RunRecord, run_once, resolve_half_slot, default_area_side
 from .metrics import ptm, ctm, aggregate, AggregateMetrics, AGGREGATE_COLUMNS

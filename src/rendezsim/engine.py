@@ -73,10 +73,8 @@ class RunRecord:
 
     Times are in slots at half-slot resolution (multiples of 0.5). t_n1 is the
     first time |DNL u INL| = N-1 held; t_full the first time that condition
-    held with DNL equal to ground truth; t_term the policy's stop mark, which
-    equals t_n1 whenever the policy fires (baseline, controlled) and is all
-    None under run_to_full. ptm/ctm are taken on the DNL frozen at each
-    node's stop mark (t_n1, or t_full under run_to_full).
+    held with DNL equal to ground truth. ptm/ctm are taken on the DNL frozen
+    at each node's stop mark (t_n1, or t_full under run_to_full).
     """
 
     scenario: tuple
@@ -84,10 +82,16 @@ class RunRecord:
     slots_used: int
     t_n1: list
     t_full: list
-    t_term: list
     ptm: list
     ctm: float
     final_dnl: list
+
+    @property
+    def t_term(self):
+        """The policy's stop mark: t_n1, or all None under run_to_full."""
+        if self.scenario[1] == proto.RUN_TO_FULL:  # see RunConfig.scenario_key
+            return [None] * len(self.t_n1)
+        return self.t_n1
 
     def node_mean(self, which):
         marks = {"n1": self.t_n1, "full": self.t_full, "policy": self.t_term}[which]
@@ -156,10 +160,10 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
     clock_rng = random.Random(clock_seed)
     pool = list(range(1, cfg.pool_size + 1))
-    clocks = [make_clock(cfg.protocol, chans.sets[i],
+    clocks = [make_clock(cfg.protocol, chans[i],
                          random.Random(clock_rng.getrandbits(63)), pool=pool)
               for i in range(n)]
-    usable = [frozenset(chans.sets[i]) for i in range(n)]
+    usable = [frozenset(chans[i]) for i in range(n)]
     neighbour_sets = topo.dnl_star
     in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
     states = [proto.NodeState(i, in_range[i]) for i in range(n)]
@@ -224,7 +228,6 @@ def run_once(cfg, topo=None, chans=None, trace=None):
         slots_used=slot,
         t_n1=t_n1,
         t_full=t_full,
-        t_term=[None] * n if run_to_full else list(t_n1),
         ptm=ptm_values,
         ctm=ctm(ptm_values),
         final_dnl=[frozenset(st.dnl) for st in states],

@@ -5,7 +5,33 @@ contract is select(half): it is asked for half 0 and then half 1 of every
 slot, returns the channel for that half-slot, and advances its own slot.
 """
 
-from .topology import split_primality, _is_prime
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def split_primality(channels):
+    """Split a channel set into (prime-labelled, non-prime-labelled) lists.
+
+    Both lists are ascending; label 1 is non-prime. Deterministic.
+    """
+    if not channels:
+        raise ValueError("channel set must be non-empty")
+    ordered = sorted(channels)
+    primes = [c for c in ordered if _is_prime(c)]
+    non_primes = [c for c in ordered if not _is_prime(c)]
+    return primes, non_primes
 
 
 def smallest_prime_geq(n):

@@ -17,10 +17,10 @@ import pytest
 
 from rendezsim.engine import IncompleteRun, RunConfig, run_once
 from rendezsim.experiments import derive_seed
-from rendezsim.hopping import DualModularClock
+from rendezsim.hopping import DualModularClock, split_primality
 from rendezsim.metrics import ctm as ctm_of
 from rendezsim.pr_activity import ChannelOccupancy, PrParams
-from rendezsim.topology import deploy, split_primality
+from rendezsim.topology import deploy
 
 MASTER = 20260826
 
@@ -196,7 +196,8 @@ def test_criterion_7a_unit_disk_oracle():
         oracle = frozenset(
             (i, j) for i in range(10) for j in range(i + 1, 10)
             if math.dist(topo.coords[i], topo.coords[j]) <= 100.0)
-        assert topo.edges == oracle
+        edges = {(i, j) for i, near in enumerate(topo.dnl_star) for j in near if i < j}
+        assert edges == oracle
     print("PASS criterion 7a: unit-disk edges match brute force on 1000 deployments")
 
 

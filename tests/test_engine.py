@@ -13,7 +13,7 @@ from rendezsim.engine import (
     run_once,
 )
 from rendezsim.pr_activity import PrParams
-from rendezsim.topology import ChannelAssignment, _build_topology
+from rendezsim.topology import _build_topology
 
 
 class StubOccupancy:
@@ -37,14 +37,11 @@ def make_cfg(**overrides):
 
 
 def chain_topology(spacing=90.0, n=3, r=100.0):
-    coords = [(i * spacing, 0.0) for i in range(n)]
-    side = spacing * (n - 1) + 1.0
-    return _build_topology(coords, r, (side, side))
+    return _build_topology([(i * spacing, 0.0) for i in range(n)], r)
 
 
 def full_mesh_channels(n, pool=10):
-    sets = tuple(tuple(range(1, pool + 1)) for _ in range(n))
-    return ChannelAssignment(sets=sets, pool_size=pool, similarity=pool)
+    return tuple(tuple(range(1, pool + 1)) for _ in range(n))
 
 
 # --- half-slot resolution -------------------------------------------------

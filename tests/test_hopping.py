@@ -13,8 +13,8 @@ from rendezsim.hopping import (
     RandomClock,
     make_clock,
     smallest_prime_geq,
+    split_primality,
 )
-from rendezsim.topology import split_primality
 
 
 def dual_clock_oracle(channels, j1, r1, j2, r2, steps):
@@ -45,6 +45,14 @@ def dual_clock_oracle(channels, j1, r1, j2, r2, steps):
 
 def set_dual_state(clock, j1, r1, j2, r2):
     clock.j1, clock.r1, clock.j2, clock.r2 = j1, r1, j2, r2
+
+
+def test_split_primality_examples():
+    assert split_primality(range(1, 11)) == ([2, 3, 5, 7], [1, 4, 6, 8, 9, 10])
+    assert split_primality({4, 6, 8}) == ([], [4, 6, 8])
+    assert split_primality({2}) == ([2], [])
+    with pytest.raises(ValueError):
+        split_primality([])
 
 
 def test_smallest_prime_geq():

@@ -46,7 +46,7 @@ def test_gossiped_out_of_range_node_lands_in_inl():
 
 def test_boundary_distance_is_in_range():
     # node 1 sits exactly r away; the deployment's in-range set includes it
-    topo = _build_topology([(0.0, 0.0), (100.0, 0.0)], 100.0, (100.0, 100.0))
+    topo = _build_topology([(0.0, 0.0), (100.0, 0.0)], 100.0)
     a = NodeState(0, topo.dnl_star[0])
     a.learn({1})
     assert a.idn == {1}
@@ -161,7 +161,8 @@ def test_set_rule_matches_the_coordinate_message_reference():
         n = rng.randint(3, 12)
         side = default_area_side(n)
         topo = deploy(n, (side, side), 100.0, rng_seed=seed)
-        edges = sorted(topo.edges)
+        edges = sorted((i, j) for i, near in enumerate(topo.dnl_star)
+                       for j in near if i < j)
         for validate in (True, False):
             nodes = [NodeState(i, topo.dnl_star[i] if validate else frozenset())
                      for i in range(n)]
