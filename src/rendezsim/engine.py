@@ -75,6 +75,11 @@ class RunRecord:
     first time |DNL u INL| = N-1 held; t_full the first time that condition
     held with DNL equal to ground truth. ptm/ctm are taken on the DNL frozen
     at each node's stop mark (t_n1, or t_full under run_to_full).
+
+    A stopped node keeps serving until the run ends (see run_once), so
+    final_dnl is each DNL at the run's end, and a t_full after the stop mark
+    is when the node's live tables became right, unseen by its frozen PTM;
+    under baseline t_full stays None if that never happened.
     """
 
     scenario: tuple
@@ -145,6 +150,10 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     topo/chans may be supplied to replay a fixed deployment; otherwise they
     are drawn from seeds derived from cfg. trace, when given, is a writable
     text stream receiving `slot half node channel event detail` lines.
+
+    A stop mark only freezes a node's PTM: the node keeps hopping,
+    handshaking and relaying gossip for neighbours that may need it as a
+    relay, until every node has its mark and the run ends.
     """
     master = random.Random(cfg.seed)
     topo_seed = cfg.topo_seed if cfg.topo_seed is not None else master.getrandbits(63)

@@ -12,6 +12,9 @@ premature.
 Every stopping policy uses the same N-1 rule (`check_termination`); the
 controlled policy is that rule under coordinate validation, where a pending
 IDN entry already keeps the count short.
+
+Stopping freezes only the topology a node reports. A stopped node keeps
+handshaking, as its neighbours may learn a far node only through it.
 """
 
 BASELINE = "baseline"        # stop at the first N-1 mark

@@ -12,6 +12,7 @@ from rendezsim.engine import (
     resolve_half_slot,
     run_once,
 )
+from rendezsim.cli import main
 from rendezsim.pr_activity import PrParams
 from rendezsim.topology import _build_topology
 
@@ -136,6 +137,7 @@ def test_baseline_termination_can_stop_short():
     # statistical witness: across seeds, some baseline runs freeze an
     # incomplete DNL (that is the premature-termination phenomenon)
     short = 0
+    fixed_later = 0
     for seed in range(40):
         cfg = make_cfg(protocol="mdmca", termination="baseline",
                        n_nodes=10, seed=seed)
@@ -144,7 +146,15 @@ def test_baseline_termination_can_stop_short():
         assert rec.t_term == rec.t_n1
         if rec.ctm < 100.0:
             short += 1
-    assert short > 0
+        # a node stopped short keeps serving, so its live tables may become
+        # right after its stop mark (a later t_full) or not by the run's end
+        for p, n1, full in zip(rec.ptm, rec.t_n1, rec.t_full):
+            if p == 100.0:
+                assert full == n1
+            else:
+                assert full is None or full > n1
+                fixed_later += full is not None
+    assert short > 0 and fixed_later > 0
 
 
 def test_run_to_full_leaves_no_policy_mark():
@@ -155,6 +165,26 @@ def test_run_to_full_leaves_no_policy_mark():
     assert rec.node_mean("full") is not None
     assert rec.node_mean("n1") is not None
     assert rec.ctm == 100.0  # by definition of running to full discovery
+
+
+def test_stopped_nodes_keep_handshaking(tmp_path):
+    # a stop mark freezes a node's reported topology, not its radio: in this
+    # traced run node 7 stops at slot 158 and handshakes with node 3 at 162
+    trace = tmp_path / "trace.txt"
+    assert main(["run", "--protocol", "mdmca", "--termination", "baseline",
+                 "--nodes", "10", "--channels", "10", "--similarity", "2",
+                 "--pr", "high", "--seed", "3", "--runs", "1",
+                 "--trace", str(trace), "--out", str(tmp_path / "agg.csv")]) == 0
+    stopped = set()
+    after_stop = 0
+    for line in trace.read_text().splitlines():
+        _, _, node, _, event, detail = line.split(maxsplit=5)
+        if event == "terminate":
+            stopped.add(int(node))
+        elif event == "handshake":
+            peer = int(detail.removeprefix("peer="))
+            after_stop += bool({int(node), peer} & stopped)
+    assert after_stop > 0
 
 
 def test_time_marks_are_ordered():

@@ -188,6 +188,21 @@ def test_set_rule_matches_the_coordinate_message_reference():
     assert fired[True] and fired[False]
 
 
+def test_a_stopped_node_still_relays_what_only_it_can_reach():
+    # line A-B-C with A and C out of each other's range: A can learn C only
+    # from B, and B reaches N-1 as soon as it has met both
+    topo = _build_topology([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], 100.0)
+    assert topo.dnl_star == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+    a, b, c = (NodeState(i, topo.dnl_star[i]) for i in range(3))
+    process_handshake(a, b)
+    process_handshake(b, c)
+    assert check_termination(b, 3)
+    assert not check_termination(a, 3) and a.inl == set()
+    # the engine keeps a stopped node handshaking, which is A's only way on
+    process_handshake(a, b)
+    assert a.inl == {2} and check_termination(a, 3)
+
+
 def test_termination_three_node_chain_controlled():
     a = make_node(0, validate=True)
     a.dnl = {1}
