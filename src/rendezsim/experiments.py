@@ -40,6 +40,10 @@ class ScenarioGrid:
     max_slots: int = DEFAULT_MAX_SLOTS
     fix_topology: bool = False
 
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError(f"runs must be at least 1, got {self.runs}")
+
     def cells(self):
         for idx, (protocol, termination, n, c, m, pr) in enumerate(product(
                 self.protocols, self.terminations, self.n_values,

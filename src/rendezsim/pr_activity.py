@@ -15,8 +15,8 @@ class PrParams:
     """Rates of the ON/OFF renewal process, in 1/slots.
 
     lambda_x drives OFF->ON (mean OFF duration 1/lambda_x); lambda_y drives
-    ON->OFF (mean ON duration 1/lambda_y). With enabled=False every channel is
-    permanently idle.
+    ON->OFF (mean ON duration 1/lambda_y); both must be finite and positive.
+    With enabled=False every channel is permanently idle.
     """
 
     lambda_x: float = 1.0
@@ -24,8 +24,10 @@ class PrParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled and (self.lambda_x <= 0 or self.lambda_y <= 0):
-            raise ValueError("rates must be strictly positive when enabled")
+        if self.enabled and not all(math.isfinite(rate) and rate > 0
+                                    for rate in (self.lambda_x, self.lambda_y)):
+            raise ValueError(f"PR rates must be finite and strictly positive, "
+                             f"got {self.lambda_x}:{self.lambda_y}")
 
     @property
     def utilization(self):

@@ -231,6 +231,34 @@ def test_cli_reports_a_capped_traced_run_in_one_line(tmp_path, monkeypatch, caps
     assert _one_error_line(capsys) == "rendezsim: safety cap reached\n"
 
 
+def _with(args, flag, value):
+    args = list(args)
+    args[args.index(flag) + 1] = value
+    return args
+
+
+def test_cli_rejects_non_finite_pr_rates_in_one_line(tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    for level in ("nan:1", "inf:1"):
+        assert main(_with(RUN_ARGS, "--pr", level) + ["--out", str(out)]) == 2
+        assert "PR rates must be finite" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_cli_rejects_runs_below_one_in_one_line(tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    for runs in ("0", "-2"):
+        assert main(_with(RUN_ARGS, "--runs", runs) + ["--out", str(out)]) == 2
+        assert _one_error_line(capsys) == f"rendezsim: runs must be at least 1, got {runs}\n"
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text(
+        "protocols = mrdmca\nterminations = controlled\nnodes = 3\n"
+        "channels = 10\nsimilarity = 5\npr = off\nruns = 0\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "rendezsim: runs must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_cli_audit_counts_a_capped_replay_as_a_mismatch(tmp_path, monkeypatch, capsys):
     runs_out = tmp_path / "runs.csv"
     main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])

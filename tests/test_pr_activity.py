@@ -39,6 +39,12 @@ def test_from_name_roundtrip():
 def test_invalid_rates_rejected():
     with pytest.raises(ValueError):
         PrParams(lambda_x=0.0, lambda_y=1.0)
+    # nan passes a `<= 0` test and inf gives a nan utilization
+    for lx, ly in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PrParams(lambda_x=lx, lambda_y=ly)
+    with pytest.raises(ValueError, match="finite"):
+        PrParams.from_name("nan:1")
 
 
 def test_empirical_busy_fraction_matches_stationary_value():
