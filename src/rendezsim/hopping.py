@@ -5,20 +5,11 @@ contract is select(half): it is asked for half 0 and then half 1 of every
 slot, returns the channel for that half-slot, and advances its own slot.
 """
 
+import math
+
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def split_primality(channels):
