@@ -2,8 +2,8 @@
 
 Provides random connected deployments, ON/OFF primary-radio activity,
 dual-modular-clock and baseline channel-hopping engines, a coordinate-assisted
-neighbour-discovery protocol with pluggable termination, and the ATTR/ATM/PTDD
-metric pipeline.
+neighbour-discovery protocol with one N-1 stopping rule under three
+termination modes, and the ATTR/ATM/PTDD metric pipeline.
 """
 
 from .topology import GroundTopology, DeploymentError, deploy, assign_channels

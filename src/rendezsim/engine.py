@@ -152,8 +152,8 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     text stream receiving `slot half node channel event detail` lines.
 
     A stop mark only freezes a node's PTM: the node keeps hopping,
-    handshaking and relaying gossip for neighbours that may need it as a
-    relay, until every node has its mark and the run ends.
+    handshaking and relaying gossip, which a neighbour may need, until every
+    node has its mark and the run ends.
     """
     master = random.Random(cfg.seed)
     topo_seed = cfg.topo_seed if cfg.topo_seed is not None else master.getrandbits(63)
