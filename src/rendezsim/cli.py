@@ -2,12 +2,13 @@
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .engine import RunConfig, IncompleteRun, run_once
 from .experiments import (
     ScenarioGrid, run_grid, paper_grid, parse_grid_config,
-    aggregate_csv, runs_csv, run_row, RUN_COLUMNS, _run_configs,
+    aggregate_csv, runs_csv, run_row, RUN_COLUMNS,
 )
 from .hopping import PROTOCOLS
 from .pr_activity import PrParams
@@ -88,12 +89,9 @@ def _cmd_run(args):
         m_values=(args.similarity,), pr_levels=(args.pr,), runs=args.runs,
         master_seed=args.seed, fix_topology=args.fix_topology,
     )
-    if args.trace:
-        # trace the first replication only; batch runs stay untraced
-        _, _, cfg = _run_configs(grid)[0]
-        with open(args.trace, "w") as fh:
-            run_once(cfg, trace=fh)
-    result = run_grid(grid, workers=args.workers)
+    # the first replication is traced inside the grid; the rest run untraced
+    with open(args.trace, "w") if args.trace else nullcontext() as fh:
+        result = run_grid(grid, workers=args.workers, trace=fh)
     _emit(args, result)
     return 0
 

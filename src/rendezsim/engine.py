@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import protocol as proto
@@ -105,23 +106,30 @@ class RunRecord:
         return sum(marks) / len(marks)
 
 
-def resolve_half_slot(selections, occupancy, half_slot_index):
+def resolve_half_slot(attempts, occupancy, half_slot_index):
     """Group attempting nodes by channel after PR deferral.
 
-    selections maps node id -> channel. Nodes defer when their channel is
-    PR-busy at any point in the half-slot: a handshake needs the channel for
-    the whole exchange, so a primary arriving mid-way disrupts it too.
-    Returns {channel: sorted node list} for channels with at least two nodes.
+    attempts maps node id -> channel in ascending node order. Nodes defer
+    when their channel is PR-busy at any point in the half-slot: a handshake
+    needs the channel for the whole exchange, so a primary arriving mid-way
+    disrupts it too. PR is asked once per attempted channel, singletons
+    included, in the order channels are first seen: ChannelOccupancy draws
+    every channel's sojourns from one shared stream, so that order fixes all
+    later draws and with them the run. With PR disabled nothing is asked.
+    Returns {channel: node list, ascending} for channels with at least two
+    nodes.
     """
     groups = {}
-    busy_cache = {}
-    for node in sorted(selections):
-        ch = selections[node]
-        if ch not in busy_cache:
-            busy_cache[ch] = occupancy.busy_during(ch, half_slot_index)
-        if not busy_cache[ch]:
-            groups.setdefault(ch, []).append(node)
-    return {ch: nodes for ch, nodes in groups.items() if len(nodes) >= 2}
+    for node, ch in attempts.items():
+        if ch in groups:
+            groups[ch].append(node)
+        else:
+            groups[ch] = [node]
+    if not occupancy.params.enabled:
+        return {ch: nodes for ch, nodes in groups.items() if len(nodes) >= 2}
+    busy = occupancy.busy_during
+    return {ch: nodes for ch, nodes in groups.items()
+            if not busy(ch, half_slot_index) and len(nodes) >= 2}
 
 
 def handshake_pairs(group, neighbour_sets):
@@ -144,12 +152,23 @@ class IncompleteRun(RuntimeError):
     """Safety cap reached before the run finished."""
 
 
+@lru_cache(maxsize=1)
+def _fixed_deployment(n_nodes, area, range_m, topo_seed):
+    # deploy is a pure function of its arguments, so a deployment fixed by
+    # an explicit topo_seed can serve every run that asks for it; grids under
+    # fix_topology run those runs back to back (see experiments._run_configs),
+    # so keeping only the latest one is enough and memory stays flat
+    return deploy(n_nodes, area, range_m, topo_seed)
+
+
 def run_once(cfg, topo=None, chans=None, trace=None):
     """Simulate one replication; deterministic given cfg and its seeds.
 
     topo/chans may be supplied to replay a fixed deployment; otherwise they
-    are drawn from seeds derived from cfg. trace, when given, is a writable
-    text stream receiving `slot half node channel event detail` lines.
+    are drawn from seeds derived from cfg. A deployment fixed by an explicit
+    cfg.topo_seed is kept until a run asks for another, so consecutive runs
+    that share one deploy it once. trace, when given, is a writable text
+    stream receiving `slot half node channel event detail` lines.
 
     A stop mark only freezes a node's PTM: the node keeps hopping,
     handshaking and relaying gossip, which a neighbour may need, until every
@@ -161,18 +180,21 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     occ_seed = master.getrandbits(63)
     clock_seed = master.getrandbits(63)
 
-    if topo is None:
+    if topo is None and cfg.topo_seed is not None:
+        topo = _fixed_deployment(cfg.n_nodes, cfg.area, cfg.range_m, topo_seed)
+    elif topo is None:
         topo = deploy(cfg.n_nodes, cfg.area, cfg.range_m, topo_seed)
     if chans is None:
         chans = assign_channels(cfg.n_nodes, cfg.pool_size, cfg.similarity, chan_seed)
     n = cfg.n_nodes
+    nodes = range(n)
     occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
     clock_rng = random.Random(clock_seed)
     pool = list(range(1, cfg.pool_size + 1))
-    clocks = [make_clock(cfg.protocol, chans[i],
-                         random.Random(clock_rng.getrandbits(63)), pool=pool)
-              for i in range(n)]
-    usable = [frozenset(chans[i]) for i in range(n)]
+    selects = [make_clock(cfg.protocol, chans[i],
+                          random.Random(clock_rng.getrandbits(63)), pool=pool).select
+               for i in nodes]
+    usable = [frozenset(chans[i]) for i in nodes]
     neighbour_sets = topo.dnl_star
     in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
     states = [proto.NodeState(i, in_range[i]) for i in range(n)]
@@ -209,13 +231,13 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                 f"{len(pending)} node(s) unfinished (seed {cfg.seed})"
             )
         for half in (0, 1):
-            selections = {i: clocks[i].select(half) for i in range(n)}
+            selections = [select(half) for select in selects]
             if trace is not None:
-                for i in sorted(selections):
-                    trace.write(f"{slot} {half} {i} {selections[i]} select -\n")
+                for i, c in enumerate(selections):
+                    trace.write(f"{slot} {half} {i} {c} select -\n")
             # a node can only transact on a channel in its usable set; blind
             # searchers that tuned elsewhere listen without effect
-            attempts = {i: c for i, c in selections.items() if c in usable[i]}
+            attempts = {i: c for i, c, ok in zip(nodes, selections, usable) if c in ok}
             groups = resolve_half_slot(attempts, occupancy, half_index)
             touched = set()
             for ch in sorted(groups):

@@ -63,7 +63,10 @@ def _run_configs(grid):
 
     Seeds derive from (master_seed, cell_index, run_index). With fix_topology
     the deployment and channel seeds depend only on fields shared across
-    protocols and PR levels, so run k sees identical inputs in every cell.
+    protocols and PR levels, so run k sees identical inputs in every cell;
+    the items are then ordered by (N, range, run index), cells in order
+    within each, so the runs that share a deployment follow each other and
+    a process deploys it once (see engine.run_once).
     """
     items = []
     for cell_index, cfg in grid.cells():
@@ -77,6 +80,8 @@ def _run_configs(grid):
                     grid.master_seed, "chan", cfg.n_nodes, cfg.pool_size,
                     cfg.similarity, run_index)
             items.append((cell_index, run_index, replace(cfg, **kwargs)))
+    if grid.fix_topology:
+        items.sort(key=lambda item: (item[2].n_nodes, item[2].range_m, item[1]))
     return items
 
 
@@ -112,14 +117,26 @@ class GridResult:
     incomplete: int
 
 
-def run_grid(grid, workers=1):
-    """Execute every cell x run; identical results for any worker count."""
+def run_grid(grid, workers=1, trace=None):
+    """Execute every cell x run; identical results for any worker count.
+
+    trace, when given, is a writable text stream that receives the event
+    trace of replication 0 of cell 0 (see engine.run_once). That replication
+    runs first, in this process, as the one whose row is written; if it hits
+    the safety cap, IncompleteRun propagates instead of flagging the row, so
+    a trace that was asked for never ends silently.
+    """
     items = _run_configs(grid)
+    results = []
+    if trace is not None:
+        first = min(items, key=lambda item: item[:2])
+        items.remove(first)
+        results.append(first + (run_once(first[2], trace=trace), None))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute, items, chunksize=16))
+            results += pool.map(_execute, items, chunksize=16)
     else:
-        results = [_execute(item) for item in items]
+        results += [_execute(item) for item in items]
     results.sort(key=lambda r: (r[0], r[1]))
 
     cell_records = {}

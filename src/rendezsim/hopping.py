@@ -58,6 +58,7 @@ class DualModularClock:
         self.j2 = rng.randrange(len(self.mi))
         self.r1 = self._draw_rate()
         self.r2 = self._draw_rate()
+        self._c1 = None  # the current slot's half-0 channel
         self._slots = 0
 
     def _draw_rate(self):
@@ -66,17 +67,15 @@ class DualModularClock:
             return 1
         return self._rng.randrange(1, size)
 
-    def _first(self):
-        return self.mp[self.j1 % len(self.mp)] if self.mp else self.mi[self.j1]
-
     def select(self, half):
         size = len(self.mi)
         if half == 0:
             self.j1 = (self.j1 + self.r1) % size
-            return self._first()
+            self._c1 = self.mp[self.j1 % len(self.mp)] if self.mp else self.mi[self.j1]
+            return self._c1
         self.j2 = (self.j2 + self.r2) % size
         c2 = self.np_[self.j2 % len(self.np_)] if self.np_ else self.mi[self.j2]
-        if c2 == self._first():
+        if c2 == self._c1:
             # only reachable when one subset is empty
             self.j2 = (self.j2 + 1) % size
             c2 = self.mi[self.j2]
@@ -105,10 +104,18 @@ class RandomClock:
 
     def __init__(self, pool, rng):
         self.pool = sorted(pool)
-        self._rng = rng
+        self._bits = rng.getrandbits
+        self._size = len(self.pool)
+        self._k = self._size.bit_length()
 
     def select(self, half):
-        return self.pool[self._rng.randrange(len(self.pool))]
+        # randrange(len(pool)) inlined: the same getrandbits rejection draw,
+        # so the same stream, without its argument checks
+        k = self._k
+        r = self._bits(k)
+        while r >= self._size:
+            r = self._bits(k)
+        return self.pool[r]
 
 
 class ModularClock:

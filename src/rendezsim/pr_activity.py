@@ -99,8 +99,24 @@ class ChannelOccupancy:
     def is_busy(self, channel, half_slot_index):
         """Process state at the start of the given half-slot (time in slots).
 
-        Queries per channel must move forward in time; a backwards query
-        signals an engine ordering bug and is rejected.
+        Advances the channel like busy_during, under the same checks.
+        """
+        self.busy_during(channel, half_slot_index)
+        return self._on[channel - 1]
+
+    def busy_during(self, channel, half_slot_index):
+        """Whether the channel is occupied at any point in the half-slot.
+
+        A handshake needs the channel for the whole half-slot, so a primary
+        arrival inside the interval disrupts it just like one already present
+        at the start. Advances the channel to the half-slot's start, then
+        peeks at its next transition without drawing, so later queries at
+        the same boundary are unaffected. Queries per channel must move
+        forward in time; a backwards query signals an engine ordering bug and
+        is rejected, as is a channel outside the pool. Every channel draws
+        its sojourns from one shared stream, so the order of first queries
+        across channels fixes every later draw (see
+        engine.resolve_half_slot). With PR off nothing is drawn.
         """
         if not 1 <= channel <= self.n_channels:
             raise ValueError(f"channel {channel} outside pool 1..{self.n_channels}")
@@ -117,17 +133,4 @@ class ChannelOccupancy:
         while self._next[idx] <= t:
             self._on[idx] = not self._on[idx]
             self._next[idx] += self._sojourn(self._on[idx])
-        return self._on[idx]
-
-    def busy_during(self, channel, half_slot_index):
-        """Whether the channel is occupied at any point in the half-slot.
-
-        A handshake needs the channel for the whole half-slot, so a primary
-        arrival inside the interval disrupts it just like one already present
-        at the start. Peeks at the next scheduled transition without
-        advancing the process, so later queries at the same boundary are
-        unaffected; with PR off that transition is at infinity.
-        """
-        if self.is_busy(channel, half_slot_index):
-            return True
-        return self._next[channel - 1] <= (half_slot_index + 1) * 0.5
+        return self._on[idx] or self._next[idx] <= t + 0.5

@@ -18,15 +18,18 @@ from rendezsim.topology import _build_topology
 
 
 class StubOccupancy:
-    """Occupancy double with a fixed busy set."""
+    """Occupancy double with a fixed busy set; records its queries."""
 
-    def __init__(self, busy=()):
+    def __init__(self, busy=(), params=PrParams.high()):
         self.busy = set(busy)
+        self.params = params
+        self.queries = []
 
     def is_busy(self, channel, half_slot_index):
         return channel in self.busy
 
     def busy_during(self, channel, half_slot_index):
+        self.queries.append(channel)
         return channel in self.busy
 
 
@@ -60,6 +63,21 @@ def test_idle_channel_groups_co_channel_nodes():
 def test_mixed_busy_and_idle_channels():
     groups = resolve_half_slot({0: 4, 1: 4, 2: 7, 3: 7}, StubOccupancy(busy={7}), 0)
     assert groups == {4: [0, 1]}
+
+
+def test_pr_is_asked_once_per_channel_in_first_seen_order():
+    # the occupancy stream is shared across channels, so the query order,
+    # singleton channels included, is part of the output
+    occ = StubOccupancy(busy={9})
+    groups = resolve_half_slot({0: 7, 1: 3, 2: 7, 3: 9, 4: 5, 5: 9, 6: 3}, occ, 0)
+    assert occ.queries == [7, 3, 9, 5]
+    assert groups == {7: [0, 2], 3: [1, 6]}
+
+
+def test_disabled_pr_is_never_asked():
+    occ = StubOccupancy(busy={4}, params=PrParams.off())
+    assert resolve_half_slot({0: 4, 1: 4, 2: 7}, occ, 0) == {4: [0, 1]}
+    assert occ.queries == []
 
 
 def test_pair_group_handshakes_when_in_range():

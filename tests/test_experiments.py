@@ -2,21 +2,27 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import rendezsim.cli as cli
+import rendezsim.engine as engine
+import rendezsim.experiments as experiments
 from rendezsim.cli import main
 from rendezsim.engine import IncompleteRun
 from rendezsim.experiments import (
     ScenarioGrid,
+    _run_configs,
     aggregate_csv,
     derive_seed,
     paper_grid,
     parse_grid_config,
     run_grid,
+    run_row,
     runs_csv,
 )
+from rendezsim.hopping import PROTOCOLS
 from rendezsim.topology import DeploymentError
 
 SMALL_GRID = ScenarioGrid(
@@ -65,6 +71,37 @@ def test_fixed_topology_shares_deployments_across_cells():
         for col in cols.values():
             assert result.run_rows[k][col] == result.run_rows[3 + k][col]
             assert result.run_rows[k][col] != ""
+
+
+def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
+    grid = ScenarioGrid(name="once", protocols=PROTOCOLS,
+                        terminations=("controlled",), n_values=(3, 10),
+                        c_values=(10,), m_values=(5,), pr_levels=("off",),
+                        runs=3, master_seed=5, fix_topology=True)
+    calls = []
+    real = engine.deploy
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    engine._fixed_deployment.cache_clear()
+    monkeypatch.setattr(engine, "deploy", counting)
+    result = run_grid(grid)
+    assert len(calls) == 2 * 3                  # not once per cell (30)
+    assert len(set(calls)) == 6
+    # the same rows as running the items in (cell, run) order, each freshly
+    # deployed
+    unordered = []
+    for cell_index, run_index, cfg in sorted(_run_configs(grid), key=lambda it: it[:2]):
+        engine._fixed_deployment.cache_clear()
+        unordered.append(run_row(grid.name, run_index, cfg, engine.run_once(cfg)))
+    assert result.run_rows == unordered
+    assert len(calls) == 6 + 30
+
+    calls.clear()
+    run_grid(replace(grid, fix_topology=False))
+    assert len(calls) == 30                     # every run deploys its own
 
 
 def test_csv_shape_and_metadata():
@@ -226,9 +263,39 @@ def test_cli_reports_an_infeasible_deployment_in_one_line(tmp_path, monkeypatch,
 
 
 def test_cli_reports_a_capped_traced_run_in_one_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_once", _raise(IncompleteRun("safety cap reached")))
+    real = experiments.run_once
+
+    def capped_when_traced(cfg, trace=None):
+        if trace is not None:
+            raise IncompleteRun("safety cap reached")
+        return real(cfg)
+
+    monkeypatch.setattr(experiments, "run_once", capped_when_traced)
     assert main(RUN_ARGS + ["--trace", str(tmp_path / "trace.txt")]) == 2
     assert _one_error_line(capsys) == "rendezsim: safety cap reached\n"
+
+
+def test_cli_traces_the_first_replication_inside_the_written_run(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.run_once
+
+    def counting(cfg, trace=None):
+        calls.append((cfg.seed, trace is not None))
+        return real(cfg, trace=trace)
+
+    monkeypatch.setattr(experiments, "run_once", counting)
+    trace = tmp_path / "t.txt"
+    runs_out = tmp_path / "runs.csv"
+    assert main(_with(RUN_ARGS, "--runs", "2") + [
+        "--trace", str(trace), "--runs-out", str(runs_out),
+        "--out", str(tmp_path / "agg.csv")]) == 0
+    assert len(calls) == 2
+    body = [l.split(",") for l in runs_out.read_text().splitlines()
+            if not l.startswith("#")]
+    seeds = dict(zip((row[7] for row in body[1:]), (int(row[8]) for row in body[1:])))
+    assert calls[0] == (seeds["0"], True)   # run 0 is the traced one
+    assert calls[1] == (seeds["1"], False)
+    assert " select " in trace.read_text()
 
 
 def _with(args, flag, value):

@@ -314,3 +314,16 @@ def test_seeded_clock_sequences_are_reproducible():
             seq_a += [a.select(0), a.select(1)]
             seq_b += [b.select(0), b.select(1)]
         assert seq_a == seq_b
+
+
+def test_random_clock_draws_the_randrange_stream():
+    # select inlines randrange's getrandbits rejection; it must give the same
+    # channels and leave the generator in the same state, draw for draw
+    for size in range(1, 41):
+        pool = list(range(1, size + 1))
+        for seed in (0, 1, 7, 2**40 + 3):
+            rng, reference = random.Random(seed), random.Random(seed)
+            clock = RandomClock(pool, rng)
+            for _ in range(50):
+                assert clock.select(0) == pool[reference.randrange(len(pool))]
+            assert rng.getstate() == reference.getstate()

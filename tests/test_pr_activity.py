@@ -1,6 +1,7 @@
 """ON/OFF primary-radio occupancy model tests against closed-form targets."""
 
 import math
+import random
 
 import pytest
 
@@ -130,3 +131,46 @@ def test_busy_during_fraction_matches_residual_free_time_law():
 def test_busy_during_off_process_is_never_busy():
     occ = ChannelOccupancy(PrParams.off(), 3, rng_seed=0)
     assert not any(occ.busy_during(2, h) for h in range(100))
+
+
+def reference_busy_during(occ, channel, half_slot_index):
+    """The former busy_during: an is_busy advance, then a peek."""
+    idx = channel - 1
+    t = half_slot_index * 0.5
+    assert t >= occ._last_query[idx]
+    occ._last_query[idx] = t
+    while occ._next[idx] <= t:
+        occ._on[idx] = not occ._on[idx]
+        occ._next[idx] += occ._sojourn(occ._on[idx])
+    if occ._on[idx]:
+        return True
+    return occ._next[idx] <= (half_slot_index + 1) * 0.5
+
+
+def test_fused_busy_during_matches_is_busy_then_peek():
+    # a random forward query sequence over several channels, with repeats at
+    # one boundary, under high PR: answers and the shared stream must agree
+    pool = 7
+    for seed in range(5):
+        fused = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
+        reference = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
+        picks = random.Random(seed)
+        h = 0
+        for _ in range(4000):
+            h += picks.choice((0, 0, 1, 1, 2, 5))
+            ch = picks.randint(1, pool)
+            assert fused.busy_during(ch, h) == reference_busy_during(reference, ch, h)
+        assert fused._rng.getstate() == reference._rng.getstate()
+
+
+def test_busy_during_keeps_the_is_busy_guards():
+    occ = ChannelOccupancy(PrParams.high(), 3, rng_seed=1)
+    for channel in (0, 4):
+        with pytest.raises(ValueError, match="outside pool"):
+            occ.busy_during(channel, 0)
+    occ.busy_during(2, 10)
+    with pytest.raises(ValueError, match="backwards"):
+        occ.busy_during(2, 9)
+    off = ChannelOccupancy(PrParams.off(), 3, rng_seed=1)
+    with pytest.raises(ValueError, match="outside pool"):
+        off.busy_during(4, 0)
