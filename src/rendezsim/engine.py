@@ -152,12 +152,20 @@ class IncompleteRun(RuntimeError):
     """Safety cap reached before the run finished."""
 
 
+def deployment_key(cfg, topo_seed):
+    """The arguments of cfg's deploy call: (n_nodes, area, range_m, topo_seed).
+
+    run_once keeps only its latest deployment, so a sequence of runs deploys
+    once per stretch of equal keys; ordering runs by this key makes the runs
+    that share a deployment adjacent (see experiments._run_configs).
+    """
+    return (cfg.n_nodes, tuple(cfg.area), cfg.range_m, topo_seed)
+
+
 @lru_cache(maxsize=1)
-def _fixed_deployment(n_nodes, area, range_m, topo_seed):
-    # deploy is a pure function of its arguments, so a deployment fixed by
-    # an explicit topo_seed can serve every run that asks for it; grids under
-    # fix_topology run those runs back to back (see experiments._run_configs),
-    # so keeping only the latest one is enough and memory stays flat
+def _deployment(n_nodes, area, range_m, topo_seed):
+    # deploy is pure and its result immutable, so consecutive runs with equal
+    # deployment keys can share one; a single entry keeps memory flat
     return deploy(n_nodes, area, range_m, topo_seed)
 
 
@@ -165,8 +173,8 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     """Simulate one replication; deterministic given cfg and its seeds.
 
     topo/chans may be supplied to replay a fixed deployment; otherwise they
-    are drawn from seeds derived from cfg. A deployment fixed by an explicit
-    cfg.topo_seed is kept until a run asks for another, so consecutive runs
+    are drawn from seeds derived from cfg. The latest deployment is kept
+    until a run asks for another (see deployment_key), so consecutive runs
     that share one deploy it once. trace, when given, is a writable text
     stream receiving `slot half node channel event detail` lines.
 
@@ -180,10 +188,8 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     occ_seed = master.getrandbits(63)
     clock_seed = master.getrandbits(63)
 
-    if topo is None and cfg.topo_seed is not None:
-        topo = _fixed_deployment(cfg.n_nodes, cfg.area, cfg.range_m, topo_seed)
-    elif topo is None:
-        topo = deploy(cfg.n_nodes, cfg.area, cfg.range_m, topo_seed)
+    if topo is None:
+        topo = _deployment(*deployment_key(cfg, topo_seed))
     if chans is None:
         chans = assign_channels(cfg.n_nodes, cfg.pool_size, cfg.similarity, chan_seed)
     n = cfg.n_nodes

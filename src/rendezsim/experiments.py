@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from itertools import product
 
-from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS
+from .engine import RunConfig, run_once, deployment_key, IncompleteRun, DEFAULT_MAX_SLOTS
 from .hopping import PROTOCOLS
 from .metrics import aggregate, aggregate_row, AGGREGATE_COLUMNS, fmt
 from .pr_activity import PrParams
@@ -64,9 +64,8 @@ def _run_configs(grid):
     Seeds derive from (master_seed, cell_index, run_index). With fix_topology
     the deployment and channel seeds depend only on fields shared across
     protocols and PR levels, so run k sees identical inputs in every cell;
-    the items are then ordered by (N, range, run index), cells in order
-    within each, so the runs that share a deployment follow each other and
-    a process deploys it once (see engine.run_once).
+    the items are then ordered by engine.deployment_key, cells in order
+    within each key.
     """
     items = []
     for cell_index, cfg in grid.cells():
@@ -81,7 +80,7 @@ def _run_configs(grid):
                     cfg.similarity, run_index)
             items.append((cell_index, run_index, replace(cfg, **kwargs)))
     if grid.fix_topology:
-        items.sort(key=lambda item: (item[2].n_nodes, item[2].range_m, item[1]))
+        items.sort(key=lambda item: deployment_key(item[2], item[2].topo_seed))
     return items
 
 

@@ -104,6 +104,9 @@ class RandomClock:
 
     def __init__(self, pool, rng):
         self.pool = sorted(pool)
+        if not self.pool:
+            # randrange would raise here; the inlined draw would loop forever
+            raise ValueError("RandomClock needs a non-empty channel pool")
         self._bits = rng.getrandbits
         self._size = len(self.pool)
         self._k = self._size.bit_length()

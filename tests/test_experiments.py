@@ -85,7 +85,7 @@ def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    engine._fixed_deployment.cache_clear()
+    engine._deployment.cache_clear()
     monkeypatch.setattr(engine, "deploy", counting)
     result = run_grid(grid)
     assert len(calls) == 2 * 3                  # not once per cell (30)
@@ -94,7 +94,7 @@ def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
     # deployed
     unordered = []
     for cell_index, run_index, cfg in sorted(_run_configs(grid), key=lambda it: it[:2]):
-        engine._fixed_deployment.cache_clear()
+        engine._deployment.cache_clear()
         unordered.append(run_row(grid.name, run_index, cfg, engine.run_once(cfg)))
     assert result.run_rows == unordered
     assert len(calls) == 6 + 30

@@ -236,6 +236,11 @@ def test_random_searcher_single_channel():
     assert all(clock.select(h % 2) == 4 for h in range(20))
 
 
+def test_random_searcher_rejects_an_empty_pool():
+    with pytest.raises(ValueError):
+        RandomClock([], random.Random(0))
+
+
 def test_modular_clock_prime_modulus_and_overflow():
     clock = ModularClock([1, 2, 3, 4], random.Random(0))
     assert clock.p == 5
