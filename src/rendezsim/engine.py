@@ -4,7 +4,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import protocol as proto
 from .hopping import make_clock, PROTOCOLS
@@ -197,8 +197,9 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
     clock_rng = random.Random(clock_seed)
     pool = list(range(1, cfg.pool_size + 1))
-    selects = [make_clock(cfg.protocol, chans[i],
-                          random.Random(clock_rng.getrandbits(63)), pool=pool).select
+    streams = [chain.from_iterable(iter(make_clock(
+                   cfg.protocol, chans[i], random.Random(clock_rng.getrandbits(63)),
+                   pool=pool).select, None))
                for i in nodes]
     usable = [frozenset(chans[i]) for i in nodes]
     neighbour_sets = topo.dnl_star
@@ -237,7 +238,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                 f"{len(pending)} node(s) unfinished (seed {cfg.seed})"
             )
         for half in (0, 1):
-            selections = [select(half) for select in selects]
+            selections = list(map(next, streams))
             if trace is not None:
                 for i, c in enumerate(selections):
                     trace.write(f"{slot} {half} {i} {c} select -\n")

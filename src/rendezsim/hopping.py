@@ -1,15 +1,32 @@
 """Channel-selection engines: dual modular clocks and the 2RATS baselines.
 
 All protocols make exactly two rendezvous attempts per slot. A clock's whole
-contract is select(half): it is asked for half 0 and then half 1 of every
-slot, returns the channel for that half-slot, and advances its own slot.
+contract is select(): each call returns the channels of the clock's next
+window, one per half-slot in order, half 0 of a slot first, always a whole
+number of slots. A window spans the stretch between two of the clock's
+redraws, so within it the channel indices are arithmetic, j + k·r mod size;
+the draws that follow it are taken in the order the per-half-slot clock took
+them. Each clock draws from its own generator, so a node's channel sequence
+is a pure function of its seed, and windows may be taken as far ahead as
+wanted. Every draw is randrange's own getrandbits rejection, inlined
+(_randbelow), so the streams match randrange's draw for draw.
 """
 
 import math
+from itertools import islice, repeat
 
 
 def _is_prime(n):
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def _randbelow(getrandbits, n):
+    # randrange(n), as CPython draws it; randrange(1, n) is 1 + _randbelow(n - 1)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def split_primality(channels):
@@ -36,9 +53,9 @@ class DualModularClock:
     """Two independent modular clocks over prime / non-prime channel subsets.
 
     The first half-slot hops over the prime-labelled channels, the second over
-    the non-prime ones; an empty subset falls back to the full set. Rates are
-    redrawn after every window of len(channels) slots; indices are redrawn
-    only every RESEED_INDEX_EVERY windows (see select for why they cannot be
+    the non-prime ones; an empty subset falls back to the full set. A window
+    is len(channels) slots; rates are redrawn after every window, indices only
+    every RESEED_INDEX_EVERY windows (see select for why they cannot be
     preserved forever).
     """
 
@@ -53,45 +70,58 @@ class DualModularClock:
     def __init__(self, channels, rng):
         self.mi = sorted(channels)
         self.mp, self.np_ = split_primality(self.mi)
-        self._rng = rng
-        self.j1 = rng.randrange(len(self.mi))
-        self.j2 = rng.randrange(len(self.mi))
+        size = len(self.mi)
+        # channel at each index, per half: the subset indexed mod its length
+        self._first = [self.mp[j % len(self.mp)] for j in range(size)] if self.mp else self.mi
+        self._second = [self.np_[j % len(self.np_)] for j in range(size)] if self.np_ else self.mi
+        self._bits = rng.getrandbits
+        self.j1 = _randbelow(self._bits, size)
+        self.j2 = _randbelow(self._bits, size)
         self.r1 = self._draw_rate()
         self.r2 = self._draw_rate()
-        self._c1 = None  # the current slot's half-0 channel
-        self._slots = 0
+        self._windows = 0
 
     def _draw_rate(self):
         size = len(self.mi)
         if size < 2:
             return 1
-        return self._rng.randrange(1, size)
+        return 1 + _randbelow(self._bits, size - 1)
 
-    def select(self, half):
+    def select(self):
         size = len(self.mi)
-        if half == 0:
-            self.j1 = (self.j1 + self.r1) % size
-            self._c1 = self.mp[self.j1 % len(self.mp)] if self.mp else self.mi[self.j1]
-            return self._c1
-        self.j2 = (self.j2 + self.r2) % size
-        c2 = self.np_[self.j2 % len(self.np_)] if self.np_ else self.mi[self.j2]
-        if c2 == self._c1:
-            # only reachable when one subset is empty
-            self.j2 = (self.j2 + 1) % size
-            c2 = self.mi[self.j2]
-        self._slots += 1
-        if self._slots % size == 0:
-            # Window end: fresh rates; indices are redrawn every
-            # RESEED_INDEX_EVERY windows, and in every window when the set has
-            # fewer than three channels (there every rate draw is 1, so two
-            # such clocks advance in permanent lockstep and a rate reseed
-            # alone can never change their relative offset).
-            self.r1 = self._draw_rate()
-            self.r2 = self._draw_rate()
-            if size < 3 or self._slots % (size * self.RESEED_INDEX_EVERY) == 0:
-                self.j1 = self._rng.randrange(size)
-                self.j2 = self._rng.randrange(size)
-        return c2
+        j1, r1, j2, r2 = self.j1, self.r1, self.j2, self.r2
+        window = [None] * (2 * size)
+        # j + k·r for k = 1..size; after the window both indices are back
+        # where they started, so only the redraws below move them
+        window[0::2] = map(self._first.__getitem__,
+                           map(size.__rmod__, range(j1 + r1, j1 + (size + 1) * r1, r1)))
+        if self.mp and self.np_:
+            # disjoint subsets: the halves can never coincide
+            window[1::2] = map(self._second.__getitem__,
+                               map(size.__rmod__, range(j2 + r2, j2 + (size + 1) * r2, r2)))
+        else:
+            # both halves index the full set; a coinciding second half steps
+            # one index further, and the shift carries over
+            mi = self.mi
+            for k in range(size):
+                j1 = (j1 + r1) % size
+                j2 = (j2 + r2) % size
+                if j2 == j1:
+                    j2 = (j2 + 1) % size
+                window[2 * k + 1] = mi[j2]
+            self.j2 = j2
+        # Window end: fresh rates; indices are redrawn every
+        # RESEED_INDEX_EVERY windows, and in every window when the set has
+        # fewer than three channels (there every rate draw is 1, so two such
+        # clocks advance in permanent lockstep and a rate reseed alone can
+        # never change their relative offset).
+        self._windows += 1
+        self.r1 = self._draw_rate()
+        self.r2 = self._draw_rate()
+        if size < 3 or self._windows % self.RESEED_INDEX_EVERY == 0:
+            self.j1 = _randbelow(self._bits, size)
+            self.j2 = _randbelow(self._bits, size)
+        return window
 
 
 class RandomClock:
@@ -99,8 +129,11 @@ class RandomClock:
 
     The blind searcher ranges over every channel label, not just the node's
     usable set, so many attempts land on channels where the node cannot
-    complete a handshake (the engine drops those attempts).
+    complete a handshake (the engine drops those attempts). Its draws carry
+    no state, so a window is any WINDOW half-slots.
     """
+
+    WINDOW = 64
 
     def __init__(self, pool, rng):
         self.pool = sorted(pool)
@@ -111,14 +144,11 @@ class RandomClock:
         self._size = len(self.pool)
         self._k = self._size.bit_length()
 
-    def select(self, half):
-        # randrange(len(pool)) inlined: the same getrandbits rejection draw,
-        # so the same stream, without its argument checks
-        k = self._k
-        r = self._bits(k)
-        while r >= self._size:
-            r = self._bits(k)
-        return self.pool[r]
+    def select(self):
+        # randrange(len(pool)) per half-slot: the same getrandbits rejection,
+        # filtered in C
+        draws = filter(self._size.__gt__, map(self._bits, repeat(self._k)))
+        return list(map(self.pool.__getitem__, islice(draws, self.WINDOW)))
 
 
 class ModularClock:
@@ -126,39 +156,37 @@ class ModularClock:
 
     The modulus is the smallest prime >= len(channels); an index overflowing
     the channel list triggers a uniform random pick. Rate and index are
-    resampled every 2p steps: 2p is a multiple of p, so resampling only
-    the rate would freeze the index offset between two same-modulus clocks and
-    can lock a pair out of its common channels permanently.
+    resampled every 2p steps, which is the window: 2p is a multiple of p, so
+    resampling only the rate would freeze the index offset between two
+    same-modulus clocks and can lock a pair out of its common channels
+    permanently.
 
-    MCA (per_slot=True) advances the clock once per slot, dwelling on one
+    MCA (per_slot=True) steps the clock once per slot, dwelling on one
     channel for both half-slots; EMCA's enhancement is a full-rate clock that
     visits a fresh channel every half-slot.
     """
 
     def __init__(self, channels, rng, per_slot=False):
         self.mi = sorted(channels)
-        self._rng = rng
+        self._bits = rng.getrandbits
         self.p = smallest_prime_geq(len(self.mi))
-        self.j = rng.randrange(self.p)
-        self.r = rng.randrange(1, self.p)
-        self._steps = 0
+        self.j = _randbelow(self._bits, self.p)
+        self.r = 1 + _randbelow(self._bits, self.p - 1)
         self.per_slot = per_slot
-        self._dwell = None
 
-    def select(self, half):
-        if self.per_slot and half == 1:
-            return self._dwell
-        self.j = (self.j + self.r) % self.p
-        self._steps += 1
-        if self._steps >= 2 * self.p:
-            self.r = self._rng.randrange(1, self.p)
-            self.j = self._rng.randrange(self.p)
-            self._steps = 0
-        if self.j >= len(self.mi):
-            self._dwell = self.mi[self._rng.randrange(len(self.mi))]
-        else:
-            self._dwell = self.mi[self.j]
-        return self._dwell
+    def select(self):
+        mi, p, bits = self.mi, self.p, self._bits
+        size = len(mi)
+        # steps 1..2p-1 are j + k·r; overflow picks draw in step order
+        steps = map(p.__rmod__, range(self.j + self.r, self.j + 2 * p * self.r, self.r))
+        window = [mi[j] if j < size else mi[_randbelow(bits, size)] for j in steps]
+        # step 2p redraws rate, then index, and lands on the fresh index
+        self.r = 1 + _randbelow(bits, p - 1)
+        self.j = _randbelow(bits, p)
+        window.append(mi[self.j] if self.j < size else mi[_randbelow(bits, size)])
+        if self.per_slot:
+            return [c for c in window for _ in (0, 1)]
+        return window
 
 
 PROTOCOLS = ("rcs", "mca", "emca", "mdmca", "mrdmca")

@@ -3,7 +3,7 @@
 import math
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import pytest
 
@@ -11,10 +11,16 @@ from rendezsim.hopping import (
     DualModularClock,
     ModularClock,
     RandomClock,
+    _randbelow,
     make_clock,
     smallest_prime_geq,
     split_primality,
 )
+
+
+def half_slots(clock, n):
+    """The clock's first n channels, one per half-slot, across its windows."""
+    return list(islice(chain.from_iterable(iter(clock.select, None)), n))
 
 
 def dual_clock_oracle(channels, j1, r1, j2, r2, steps):
@@ -47,6 +53,10 @@ def set_dual_state(clock, j1, r1, j2, r2):
     clock.j1, clock.r1, clock.j2, clock.r2 = j1, r1, j2, r2
 
 
+def pairs(window):
+    return list(zip(window[0::2], window[1::2]))
+
+
 def test_split_primality_examples():
     assert split_primality(range(1, 11)) == ([2, 3, 5, 7], [1, 4, 6, 8, 9, 10])
     assert split_primality({4, 6, 8}) == ([], [4, 6, 8])
@@ -67,15 +77,19 @@ def test_first_half_prime_subset_arithmetic():
     # index 5, i.e. channel [2,3,5,7][5 mod 4] = 3
     clock = DualModularClock(range(1, 11), random.Random(0))
     set_dual_state(clock, j1=3, r1=2, j2=0, r2=1)
-    assert clock.select(0) == 3
-    assert clock.j1 == 5
+    window = clock.select()
+    assert window[0] == 3
+    assert window[2] == 7  # index 7 -> [2,3,5,7][7 mod 4]
+    # a window of |m_i| steps brings the index back to where it started
+    assert clock.j1 == 3
 
 
 def test_first_half_falls_back_to_full_set_without_primes():
     clock = DualModularClock({4, 6, 8}, random.Random(0))
     set_dual_state(clock, j1=2, r1=1, j2=0, r2=1)
-    assert clock.select(0) == 4  # j1 wraps to 0; channel m_i[0]
-    assert clock.j1 == 0
+    window = clock.select()
+    assert window[0] == 4  # j1 wraps to 0; channel m_i[0]
+    assert window[0::2] == [4, 6, 8]
 
 
 def test_second_half_non_prime_subset_arithmetic():
@@ -83,8 +97,7 @@ def test_second_half_non_prime_subset_arithmetic():
     # on index 3, i.e. channel 8
     clock = DualModularClock(range(1, 11), random.Random(0))
     set_dual_state(clock, j1=0, r1=1, j2=0, r2=3)
-    clock.select(0)
-    assert clock.select(1) == 8
+    assert clock.select()[1] == 8
 
 
 def test_second_half_shifts_off_a_first_half_collision():
@@ -92,11 +105,12 @@ def test_second_half_shifts_off_a_first_half_collision():
     # repeat the first half's channel; it steps one index further instead
     clock = DualModularClock({2, 3, 5}, random.Random(0))
     set_dual_state(clock, j1=0, r1=1, j2=0, r2=1)
-    c1 = clock.select(0)
+    window = clock.select()
+    c1, c2 = window[0], window[1]
     assert c1 == 3  # j1 -> 1
-    c2 = clock.select(1)
     assert c2 == 5  # j2 -> 1 collides with c1, shifted to index 2
-    assert c2 != c1
+    # the shift carries over: j2 stays one ahead of j1 for the whole window
+    assert pairs(window) == [(3, 5), (5, 2), (2, 3)]
 
 
 def test_halves_never_collide_when_both_subsets_exist():
@@ -111,8 +125,7 @@ def test_halves_never_collide_when_both_subsets_exist():
                 for r1 in range(1, size):
                     clock = DualModularClock(chans, random.Random(0))
                     set_dual_state(clock, j1=j1, r1=r1, j2=(j1 + 1) % size, r2=r1)
-                    c1 = clock.select(0)
-                    assert clock.select(1) != c1
+                    assert all(c1 != c2 for c1, c2 in pairs(clock.select()))
 
 
 def test_dual_clock_matches_modular_oracle_within_a_window():
@@ -127,11 +140,9 @@ def test_dual_clock_matches_modular_oracle_within_a_window():
             clock = DualModularClock(chans, random.Random(0))
             set_dual_state(clock, j1, r1, j2, r2)
             expected, _, _ = dual_clock_oracle(chans, j1, r1, j2, r2, size)
-            got = []
-            for _ in range(size):  # one reseed window
-                c1 = clock.select(0)
-                got.append((c1, clock.select(1)))
-            assert got == expected
+            window = clock.select()  # one reseed window
+            assert len(window) == 2 * size
+            assert pairs(window) == expected
 
 
 def dual_clock_reseed_oracle(channels, seed, windows):
@@ -163,24 +174,22 @@ def dual_clock_reseed_oracle(channels, seed, windows):
 
 
 def test_dual_clock_matches_oracle_across_reseeds():
-    # select alone drives the clock: it counts its own slots and reseeds at
-    # each window end, so 40 windows cross one index redraw (window 30) and,
-    # for sets of fewer than three channels, an index redraw every window
+    # select alone drives the clock: it counts its own windows and reseeds
+    # at each window end, so 40 windows cross one index redraw (window 30)
+    # and, for sets of fewer than three channels, an index redraw every window
     windows = 40
     for chans in ((3, 5), (2, 3, 5), tuple(range(1, 11)), (1, 4, 6, 8),
-                  (2, 4, 5, 9, 10, 11, 12)):
+                  (2, 4, 5, 9, 10, 11, 12), (7,), (4,), (2, 3, 5, 7, 11, 13)):
         for seed in range(5):
             clock = DualModularClock(chans, random.Random(seed))
-            got = [(clock.select(0), clock.select(1))
-                   for _ in range(windows * len(chans))]
+            got = pairs(half_slots(clock, 2 * windows * len(chans)))
             assert got == dual_clock_reseed_oracle(chans, seed, windows)
 
 
 def test_rates_and_indices_stay_in_range_across_reseeds():
     clock = DualModularClock(range(1, 11), random.Random(5))
     for _ in range(300):
-        clock.select(0)
-        clock.select(1)
+        clock.select()
         assert 0 <= clock.j1 < 10 and 0 <= clock.j2 < 10
         assert 1 <= clock.r1 < 10 and 1 <= clock.r2 < 10
 
@@ -193,19 +202,13 @@ def test_reseed_breaks_index_lockstep_between_clocks():
     # any two clocks sharing a channel must select it simultaneously soon.
     a = DualModularClock((3, 4, 5), random.Random(11))
     b = DualModularClock((1, 2, 5), random.Random(12))
-    met = False
-    for _ in range(400):
-        for half in (0, 1):
-            if a.select(half) == b.select(half):
-                met = True
-    assert met
+    assert any(x == y for x, y in zip(half_slots(a, 800), half_slots(b, 800)))
 
 
 def test_two_channel_set_forces_unit_rates():
     clock = DualModularClock({3, 5}, random.Random(1))
     for _ in range(50):
-        clock.select(0)
-        clock.select(1)
+        clock.select()
         assert clock.r1 == 1 and clock.r2 == 1
 
 
@@ -215,17 +218,15 @@ def test_dual_clock_first_half_cycles_with_modular_period():
     clock = DualModularClock(chans, random.Random(0))
     set_dual_state(clock, j1=0, r1=4, j2=0, r2=1)
     period = 10 // math.gcd(4, 10)
-    seq = []
-    for _ in range(2 * period):
-        seq.append(clock.select(0))
-        clock.j2 = 0  # keep the second clock out of the way
+    seq = clock.select()[0::2]  # the first halves of one window
     assert seq[:period] == seq[period:2 * period]
+    assert len(set(seq[:period])) > 1
 
 
 def test_random_searcher_covers_the_whole_pool_uniformly():
     pool = range(1, 11)
     clock = RandomClock(pool, random.Random(3))
-    counts = Counter(clock.select(h % 2) for h in range(100_000))
+    counts = Counter(half_slots(clock, 100_000))
     assert set(counts) == set(pool)
     for c in pool:
         assert abs(counts[c] / 100_000 - 0.1) < 0.01
@@ -233,7 +234,7 @@ def test_random_searcher_covers_the_whole_pool_uniformly():
 
 def test_random_searcher_single_channel():
     clock = RandomClock([4], random.Random(0))
-    assert all(clock.select(h % 2) == 4 for h in range(20))
+    assert half_slots(clock, 200) == [4] * 200
 
 
 def test_random_searcher_rejects_an_empty_pool():
@@ -245,11 +246,36 @@ def test_modular_clock_prime_modulus_and_overflow():
     clock = ModularClock([1, 2, 3, 4], random.Random(0))
     assert clock.p == 5
     # force the overflow index: j=4 exceeds the channel list and triggers a
-    # uniform random pick from the set
+    # uniform random pick from the set, drawn in step order
     clock.j, clock.r = 3, 1
-    c = clock.select(0)
-    assert c in (1, 2, 3, 4)
-    assert clock.j == 4
+    rng = random.Random(0)
+    ModularClock([1, 2, 3, 4], rng)  # the same construction draws
+    window = clock.select()
+    assert window[0] == 1 + rng.randrange(4)
+    assert window[1:5] == [1, 2, 3, 4]  # indices 0..3 after the overflow
+
+
+def modular_clock_oracle(channels, seed, steps):
+    """Channels of a modular clock built on random.Random(seed), step by step.
+
+    Replays the clock's draws from the same stream: j, then r, at
+    construction; at every step j += r (mod p), and after 2p steps a fresh r
+    and then a fresh j replace them before the channel is read; an index past
+    the channel list picks uniformly from it.
+    """
+    rng = random.Random(seed)
+    mi = sorted(channels)
+    p = smallest_prime_geq(len(mi))
+    j = rng.randrange(p)
+    r = rng.randrange(1, p)
+    out = []
+    for step in range(1, steps + 1):
+        j = (j + r) % p
+        if step % (2 * p) == 0:
+            r = rng.randrange(1, p)
+            j = rng.randrange(p)
+        out.append(mi[j] if j < len(mi) else mi[rng.randrange(len(mi))])
+    return out
 
 
 def test_modular_clock_resamples_index_and_rate_each_window():
@@ -257,38 +283,39 @@ def test_modular_clock_resamples_index_and_rate_each_window():
     # freeze the offset between two same-modulus clocks forever. EMCA steps
     # every half-slot and so redraws every 2p half-slots; MCA's per-slot
     # clock steps only on half 0, so it redraws every 2p slots (4p half-slots)
-    for per_slot, half_slots_per_step in ((False, 1), (True, 2)):
-        clock = ModularClock(range(1, 11), random.Random(0), per_slot=per_slot)
-        p = clock.p
-        redraws, states = [], set()
-        for h in range(40 * p * half_slots_per_step):
-            steps = clock._steps
-            clock.select(h % 2)
-            if clock._steps < steps:
-                redraws.append(h)
-            states.add(clock.j)
-        # 40p steps hold 20 windows of 2p steps each
-        assert len(redraws) == 20
-        assert redraws[0] == (2 * p - 1) * half_slots_per_step
-        gaps = {b - a for a, b in zip(redraws, redraws[1:])}
-        assert gaps == {2 * p * half_slots_per_step}
-        assert len(states) > p // 2  # the index offset keeps moving across windows
+    for chans in (range(1, 11), (3,), (2, 9), (1, 4, 6, 8), range(1, 25, 2)):
+        for seed in range(4):
+            for per_slot, half_slots_per_step in ((False, 1), (True, 2)):
+                clock = ModularClock(chans, random.Random(seed), per_slot=per_slot)
+                p = clock.p
+                states = set()
+                got = []
+                for _ in range(20):
+                    window = clock.select()
+                    assert len(window) == 2 * p * half_slots_per_step
+                    got += window[::half_slots_per_step]
+                    states.add(clock.j)
+                # 40p steps hold 20 windows of 2p steps each
+                assert got == modular_clock_oracle(chans, seed, 40 * p)
+                # the index offset keeps moving across windows
+                assert len(states) > p // 2
 
 
 def test_per_slot_clock_dwells_for_both_halves():
     dwell = ModularClock(range(1, 11), random.Random(2), per_slot=True)
-    for _ in range(100):
-        c1 = dwell.select(0)
-        assert dwell.select(1) == c1
+    for _ in range(10):
+        window = dwell.select()
+        assert window[0::2] == window[1::2]
 
 
 def test_half_slot_clock_advances_every_half():
+    # a window is 2p steps, one per half-slot; p = 11 > 10 channels, so
+    # every step lands on a fresh index and no two neighbours repeat unless
+    # an overflow pick happens to land there
     clock = ModularClock(range(1, 11), random.Random(2))
-    j0 = clock.j
-    clock.select(0)
-    j1 = clock.j
-    clock.select(1)
-    assert clock.j != j1 or clock.j != j0
+    window = clock.select()
+    assert len(window) == 2 * clock.p
+    assert sum(a != b for a, b in zip(window, window[1:])) >= len(window) - 5
 
 
 def test_make_clock_dispatch():
@@ -306,7 +333,7 @@ def test_make_clock_dispatch():
 
 def test_rcs_clock_uses_the_pool_not_the_node_set():
     clock = make_clock("rcs", [1, 2], random.Random(1), pool=list(range(1, 11)))
-    seen = {clock.select(h % 2) for h in range(2000)}
+    seen = set(half_slots(clock, 2000))
     assert seen == set(range(1, 11))
 
 
@@ -314,21 +341,28 @@ def test_seeded_clock_sequences_are_reproducible():
     for proto in ("rcs", "mca", "emca", "mrdmca"):
         a = make_clock(proto, range(1, 11), random.Random(77), pool=list(range(1, 11)))
         b = make_clock(proto, range(1, 11), random.Random(77), pool=list(range(1, 11)))
-        seq_a, seq_b = [], []
-        for slot in range(200):
-            seq_a += [a.select(0), a.select(1)]
-            seq_b += [b.select(0), b.select(1)]
-        assert seq_a == seq_b
+        assert half_slots(a, 400) == half_slots(b, 400)
 
 
 def test_random_clock_draws_the_randrange_stream():
-    # select inlines randrange's getrandbits rejection; it must give the same
-    # channels and leave the generator in the same state, draw for draw
+    # every clock draw inlines randrange's getrandbits rejection: the rcs
+    # window, rate draws randrange(1, p) and index and overflow draws
+    # randrange(L) must give the same values and leave the generator in the
+    # same state, draw for draw
     for size in range(1, 41):
         pool = list(range(1, size + 1))
         for seed in (0, 1, 7, 2**40 + 3):
-            rng, reference = random.Random(seed), random.Random(seed)
-            clock = RandomClock(pool, rng)
-            for _ in range(50):
-                assert clock.select(0) == pool[reference.randrange(len(pool))]
-            assert rng.getstate() == reference.getstate()
+            for draw in ("rcs window", "randrange(1, p)", "randrange(L)"):
+                rng, reference = random.Random(seed), random.Random(seed)
+                if draw == "rcs window":
+                    got = RandomClock(pool, rng).select()
+                    expected = [pool[reference.randrange(size)] for _ in got]
+                elif draw == "randrange(1, p)":
+                    p = size + 1  # rates are drawn from 1..p-1 with p >= 2
+                    got = [1 + _randbelow(rng.getrandbits, p - 1) for _ in range(50)]
+                    expected = [reference.randrange(1, p) for _ in range(50)]
+                else:
+                    got = [_randbelow(rng.getrandbits, size) for _ in range(50)]
+                    expected = [reference.randrange(size) for _ in range(50)]
+                assert got == expected, draw
+                assert rng.getstate() == reference.getstate(), draw
