@@ -73,28 +73,29 @@ class PrParams:
 class ChannelOccupancy:
     """Lazy per-channel ON/OFF sampler, queried at half-slot boundaries.
 
-    Channels are labelled 1..n_channels. Initial states are drawn from the
-    stationary distribution; sojourns are exponential, and memorylessness makes
-    the stationary residual time another exponential, so the first transition
-    is sampled from the same law. State is constant within a half-slot.
+    Channels are labelled 1..n_channels. Each channel draws from its own
+    stream, seeded from rng_seed and its label, so its answers depend only on
+    the times it is asked about: never on whether, when or in what order
+    other channels are asked. Initial states are drawn from the stationary
+    distribution; sojourns are exponential, and memorylessness makes the
+    stationary residual time another exponential, so the first transition is
+    sampled from the same law. State is constant within a half-slot.
     """
 
     def __init__(self, params, n_channels, rng_seed):
         self.params = params
         self.n_channels = n_channels
-        self._rng = random.Random(rng_seed)
+        self._draws = []  # per channel, the bound expovariate of its own stream
         self._on = [False] * n_channels
         self._next = [math.inf] * n_channels
         self._last_query = [-math.inf] * n_channels
         if params.enabled:
             u = params.utilization
             for c in range(n_channels):
-                self._on[c] = self._rng.random() < u
-                self._next[c] = self._sojourn(self._on[c])
-
-    def _sojourn(self, on):
-        rate = self.params.lambda_y if on else self.params.lambda_x
-        return self._rng.expovariate(rate)
+                rng = random.Random(f"{rng_seed}|{c + 1}")
+                self._draws.append(rng.expovariate)
+                on = self._on[c] = rng.random() < u
+                self._next[c] = rng.expovariate(params.lambda_y if on else params.lambda_x)
 
     def is_busy(self, channel, half_slot_index):
         """Process state at the start of the given half-slot (time in slots).
@@ -113,10 +114,10 @@ class ChannelOccupancy:
         peeks at its next transition without drawing, so later queries at
         the same boundary are unaffected. Queries per channel must move
         forward in time; a backwards query signals an engine ordering bug and
-        is rejected, as is a channel outside the pool. Every channel draws
-        its sojourns from one shared stream, so the order of first queries
-        across channels fixes every later draw (see
-        engine.resolve_half_slot). With PR off nothing is drawn.
+        is rejected, as is a channel outside the pool. The answer is a pure
+        function of the channel's own stream and the half-slot, so asking
+        about one channel never changes another's answers. With PR off
+        nothing is drawn.
         """
         if not 1 <= channel <= self.n_channels:
             raise ValueError(f"channel {channel} outside pool 1..{self.n_channels}")
@@ -130,7 +131,12 @@ class ChannelOccupancy:
                 f"{t} < {self._last_query[idx]}"
             )
         self._last_query[idx] = t
-        while self._next[idx] <= t:
-            self._on[idx] = not self._on[idx]
-            self._next[idx] += self._sojourn(self._on[idx])
-        return self._on[idx] or self._next[idx] <= t + 0.5
+        on, nxt = self._on[idx], self._next[idx]
+        if nxt <= t:
+            draw = self._draws[idx]
+            on_rate, off_rate = self.params.lambda_y, self.params.lambda_x
+            while nxt <= t:
+                on = not on
+                nxt += draw(on_rate if on else off_rate)
+            self._on[idx], self._next[idx] = on, nxt
+        return on or nxt <= t + 0.5

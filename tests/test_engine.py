@@ -187,7 +187,7 @@ def test_run_to_full_leaves_no_policy_mark():
 
 def test_stopped_nodes_keep_handshaking(tmp_path):
     # a stop mark freezes a node's reported topology, not its radio: in this
-    # traced run node 7 stops at slot 158 and handshakes with node 3 at 162
+    # traced run node 7 stops at slot 97 and handshakes with node 5 at 123
     trace = tmp_path / "trace.txt"
     assert main(["run", "--protocol", "mdmca", "--termination", "baseline",
                  "--nodes", "10", "--channels", "10", "--similarity", "2",

@@ -141,7 +141,8 @@ def reference_busy_during(occ, channel, half_slot_index):
     occ._last_query[idx] = t
     while occ._next[idx] <= t:
         occ._on[idx] = not occ._on[idx]
-        occ._next[idx] += occ._sojourn(occ._on[idx])
+        rate = occ.params.lambda_y if occ._on[idx] else occ.params.lambda_x
+        occ._next[idx] += occ._draws[idx](rate)
     if occ._on[idx]:
         return True
     return occ._next[idx] <= (half_slot_index + 1) * 0.5
@@ -149,7 +150,8 @@ def reference_busy_during(occ, channel, half_slot_index):
 
 def test_fused_busy_during_matches_is_busy_then_peek():
     # a random forward query sequence over several channels, with repeats at
-    # one boundary, under high PR: answers and the shared stream must agree
+    # one boundary, under high PR: answers and every channel's stream must
+    # agree
     pool = 7
     for seed in range(5):
         fused = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
@@ -160,7 +162,32 @@ def test_fused_busy_during_matches_is_busy_then_peek():
             h += picks.choice((0, 0, 1, 1, 2, 5))
             ch = picks.randint(1, pool)
             assert fused.busy_during(ch, h) == reference_busy_during(reference, ch, h)
-        assert fused._rng.getstate() == reference._rng.getstate()
+        assert ([draw.__self__.getstate() for draw in fused._draws]
+                == [draw.__self__.getstate() for draw in reference._draws])
+
+
+def test_a_channel_answers_the_same_whatever_else_is_asked():
+    # every channel has its own stream, so channel c's answers depend only on
+    # the times c is asked about: not on whether other channels are asked,
+    # nor when, nor in what order
+    pool = 6
+    for seed in range(4):
+        for c in (1, 4, pool):
+            alone = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
+            crowded = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
+            others = [ch for ch in range(1, pool + 1) if ch != c]
+            picks = random.Random(seed)
+            h = 0
+            for _ in range(3000):
+                h += picks.choice((0, 1, 1, 3))
+                asked = picks.sample(others, picks.randint(0, len(others)))
+                cut = picks.randint(0, len(asked))
+                for ch in asked[:cut]:
+                    crowded.busy_during(ch, h)
+                assert crowded.busy_during(c, h) == alone.busy_during(c, h)
+                for ch in asked[cut:]:
+                    crowded.is_busy(ch, h)
+                assert crowded.is_busy(c, h) == alone.is_busy(c, h)
 
 
 def test_busy_during_keeps_the_is_busy_guards():
