@@ -1,10 +1,20 @@
-"""Slot-synchronous simulation loop with half-slot rendezvous resolution."""
+"""Slot-synchronous simulation with half-slot rendezvous resolution.
+
+The run is event-driven. Every node's channel sequence is a pure function of
+its clock's seed, so the engine takes the sequences a chunk of half-slots at
+a time and finds, for every in-range pair at once, the half-slots where both
+sit on the same usable channel. Only those half-slots are resolved; in any
+other one no handshake can happen and nothing changes.
+"""
 
 import math
 import random
+import sys
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations, compress
 
 from . import protocol as proto
 from .hopping import make_clock, PROTOCOLS
@@ -14,6 +24,12 @@ from .topology import deploy, assign_channels
 
 DEFAULT_MAX_SLOTS = 50_000
 DEFAULT_RANGE_M = 100.0
+
+# Half-slots per chunk: the first chunk is short so that short runs do not
+# take far more of their clocks than they use; each next one is half as long
+# again, in whole slots, up to the last size.
+FIRST_CHUNK = 64
+LAST_CHUNK = 2048
 
 
 def default_area_side(n_nodes, range_m=DEFAULT_RANGE_M):
@@ -109,14 +125,15 @@ class RunRecord:
 def resolve_half_slot(attempts, occupancy, half_slot_index):
     """Group attempting nodes by channel after PR deferral.
 
-    attempts maps node id -> channel in ascending node order. Nodes defer
-    when their channel is PR-busy at any point in the half-slot: a handshake
-    needs the channel for the whole exchange, so a primary arriving mid-way
-    disrupts it too. PR is asked once per attempted channel, singletons
-    included, in the order channels are first seen: ChannelOccupancy draws
-    every channel's sojourns from one shared stream, so that order fixes all
-    later draws and with them the run. With PR disabled nothing is asked.
-    Returns {channel: node list, ascending} for channels with at least two
+    attempts maps node id -> channel in ascending node order; run_once
+    passes the nodes that share their usable channel with an in-range
+    neighbour, as only they can handshake. Nodes defer when their channel is
+    PR-busy at any point in the half-slot: a handshake needs the channel for
+    the whole exchange, so a primary arriving mid-way disrupts it too. PR is
+    asked once about each channel holding at least two nodes and about no
+    other; every channel has its own ON/OFF stream, so which channels are
+    asked changes no answer. With PR disabled nothing is asked. Returns
+    {channel: node list, ascending} for the idle channels with at least two
     nodes.
     """
     groups = {}
@@ -129,7 +146,7 @@ def resolve_half_slot(attempts, occupancy, half_slot_index):
         return {ch: nodes for ch, nodes in groups.items() if len(nodes) >= 2}
     busy = occupancy.busy_during
     return {ch: nodes for ch, nodes in groups.items()
-            if not busy(ch, half_slot_index) and len(nodes) >= 2}
+            if len(nodes) >= 2 and not busy(ch, half_slot_index)}
 
 
 def handshake_pairs(group, neighbour_sets):
@@ -150,6 +167,65 @@ def handshake_pairs(group, neighbour_sets):
 
 class IncompleteRun(RuntimeError):
     """Safety cap reached before the run finished."""
+
+
+def _lane_packers(chans, pool_size):
+    """Per node, a function packing channel labels into one lane each.
+
+    A lane holds the label where the node can use it and 0 elsewhere, so two
+    nodes meet on a usable channel exactly where their lanes are equal and
+    non-zero. Lanes are one byte wide while every label fits, else two.
+    Returns (width, packers).
+    """
+    top = max([pool_size, *map(max, filter(None, chans))])
+    width = 1 if top < 256 else 2
+    packers = []
+    for own in chans:
+        keep = bytearray(256) if width == 1 else [0] * (top + 1)
+        for c in own:
+            keep[c] = c
+        if width == 1:
+            packers.append(lambda row, table=bytes(keep): bytes(row).translate(table))
+        else:
+            packers.append(lambda row, lut=keep: array("H", map(lut.__getitem__, row)))
+    return width, packers
+
+
+def _lane_masks(width, n_lanes):
+    """(low, high) SWAR masks: each lane's low bits set, and its top bit."""
+    top = 1 << (8 * width - 1)
+    order = sys.byteorder
+    low = int.from_bytes((top - 1).to_bytes(width, order) * n_lanes, order)
+    high = int.from_bytes(top.to_bytes(width, order) * n_lanes, order)
+    return low, high
+
+
+def co_channel_pairs(lanes, width, edges):
+    """{lane index: [(i, j), ...]} where an edge's two lanes meet.
+
+    lanes are the nodes' packed lanes for one chunk, all the same length;
+    edges are in-range pairs i < j in ascending order, so every list comes out
+    ascending. Each edge costs a handful of big-integer operations over the
+    whole chunk: XOR the two lane strings and flag the zero lanes with the
+    carry-free test ((x & low) + low) | x, whose top bit per lane is set
+    exactly where the lane is non-zero.
+    """
+    order = sys.byteorder
+    n_lanes = len(lanes[0])
+    low, high = _lane_masks(width, n_lanes)
+    top = width - 1 if order == "little" else 0  # the byte of a lane's top bit
+    values = [int.from_bytes(lane, order) for lane in lanes]
+    usable = [((v & low) + low | v) & high for v in values]
+    found = defaultdict(list)
+    for pair in edges:
+        i, j = pair
+        x = values[i] ^ values[j]
+        meet = usable[i] & ~((x & low) + low | x)
+        if meet:
+            flags = meet.to_bytes(n_lanes * width, order)[top::width]
+            for t in compress(range(n_lanes), flags):
+                found[t].append(pair)
+    return found
 
 
 def deployment_key(cfg, topo_seed):
@@ -176,7 +252,16 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     are drawn from seeds derived from cfg. The latest deployment is kept
     until a run asks for another (see deployment_key), so consecutive runs
     that share one deploy it once. trace, when given, is a writable text
-    stream receiving `slot half node channel event detail` lines.
+    stream receiving `slot half node channel event detail` lines: every
+    node's selection in every half-slot, then that half-slot's handshakes and
+    stop marks.
+
+    The loop is event-driven. It takes every node's channels a chunk of
+    half-slots at a time, packs them into lanes (co_channel_pairs) and visits
+    only the half-slots where an in-range pair shares a usable channel, in
+    (half-slot, channel, i, j) order; nothing can happen in any other one.
+    The run ends after both halves of the slot in which the last node gets
+    its stop mark, or raises IncompleteRun when max_slots slots pass first.
 
     A stop mark only freezes a node's PTM: the node keeps hopping,
     handshaking and relaying gossip, which a neighbour may need, until every
@@ -193,16 +278,15 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     if chans is None:
         chans = assign_channels(cfg.n_nodes, cfg.pool_size, cfg.similarity, chan_seed)
     n = cfg.n_nodes
-    nodes = range(n)
     occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
     clock_rng = random.Random(clock_seed)
     pool = list(range(1, cfg.pool_size + 1))
-    streams = [chain.from_iterable(iter(make_clock(
-                   cfg.protocol, chans[i], random.Random(clock_rng.getrandbits(63)),
-                   pool=pool).select, None))
-               for i in nodes]
-    usable = [frozenset(chans[i]) for i in nodes]
+    selects = [make_clock(cfg.protocol, chans[i],
+                          random.Random(clock_rng.getrandbits(63)), pool=pool).select
+               for i in range(n)]
+    width, packers = _lane_packers(chans, cfg.pool_size)
     neighbour_sets = topo.dnl_star
+    edges = [(i, j) for i in range(n) for j in sorted(neighbour_sets[i]) if i < j]
     in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
     states = [proto.NodeState(i, in_range[i]) for i in range(n)]
 
@@ -229,41 +313,76 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                 pending.discard(i)
                 ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
 
-    slot = 0
-    half_index = 0
-    while pending:
-        if slot >= cfg.max_slots:
-            raise IncompleteRun(
-                f"safety cap of {cfg.max_slots} slots reached with "
-                f"{len(pending)} node(s) unfinished (seed {cfg.seed})"
-            )
-        for half in (0, 1):
-            selections = list(map(next, streams))
+    def trace_selections(end):
+        # every node's channel in each half-slot up to end, not yet written
+        nonlocal traced
+        for h in range(traced, end):
+            slot, half = divmod(h, 2)
+            for i, row in enumerate(rows):
+                trace.write(f"{slot} {half} {i} {row[h - h0]} select -\n")
+        traced = end
+
+    # stop is the first half-slot not simulated: the cap until the last node
+    # gets its stop mark, then the end of that slot
+    stop = 2 * cfg.max_slots if pending else 0
+    buffers = [[] for _ in range(n)]
+    h0, chunk, traced = 0, FIRST_CHUNK, 0
+    while h0 < stop:
+        size = min(chunk, stop - h0)
+        rows = []
+        for select, buf in zip(selects, buffers):
+            while len(buf) < size:
+                buf += select()
+            rows.append(buf[:size])
+            del buf[:size]
+        # a node can only transact on a channel in its usable set; blind
+        # searchers that tuned elsewhere listen without effect
+        lanes = [pack(row) for pack, row in zip(packers, rows)]
+        found = co_channel_pairs(lanes, width, edges)
+        for t in sorted(found):
+            h = h0 + t
+            if h >= stop:
+                break
+            pairs = found[t]
+            if len(pairs) == 1:
+                (i, j), = pairs
+                ch = lanes[i][t]
+                attempts = {i: ch, j: ch}
+            else:
+                attempts = {u: lanes[u][t] for u in sorted({u for pair in pairs for u in pair})}
+            groups = resolve_half_slot(attempts, occupancy, h)
             if trace is not None:
-                for i, c in enumerate(selections):
-                    trace.write(f"{slot} {half} {i} {c} select -\n")
-            # a node can only transact on a channel in its usable set; blind
-            # searchers that tuned elsewhere listen without effect
-            attempts = {i: c for i, c, ok in zip(nodes, selections, usable) if c in ok}
-            groups = resolve_half_slot(attempts, occupancy, half_index)
-            touched = set()
+                trace_selections(h + 1)
+            if not groups:
+                continue
+            slot, half = divmod(h, 2)
+            touched = []
             for ch in sorted(groups):
                 for i, j in handshake_pairs(groups[ch], neighbour_sets):
                     proto.process_handshake(states[i], states[j])
-                    touched.add(i)
-                    touched.add(j)
+                    touched += (i, j)
                     if trace is not None:
                         trace.write(f"{slot} {half} {i} {ch} handshake peer={j}\n")
-            tnow = (half_index + 1) * 0.5
+            tnow = (h + 1) * 0.5
             for i in sorted(touched):
                 update_marks(i, tnow, slot, half)
-            half_index += 1
-        slot += 1
+            if not pending:
+                stop = min(stop, (h | 1) + 1)
+        if trace is not None:
+            trace_selections(min(h0 + size, stop))
+        h0 += size
+        chunk = min(chunk + chunk // 4 * 2, LAST_CHUNK)
+
+    if pending:
+        raise IncompleteRun(
+            f"safety cap of {cfg.max_slots} slots reached with "
+            f"{len(pending)} node(s) unfinished (seed {cfg.seed})"
+        )
 
     return RunRecord(
         scenario=cfg.scenario_key(),
         seed=cfg.seed,
-        slots_used=slot,
+        slots_used=stop // 2,
         t_n1=t_n1,
         t_full=t_full,
         ptm=ptm_values,

@@ -2,18 +2,21 @@
 
 All protocols make exactly two rendezvous attempts per slot. A clock's whole
 contract is select(): each call returns the channels of the clock's next
-window, one per half-slot in order, half 0 of a slot first, always a whole
-number of slots. A window spans the stretch between two of the clock's
-redraws, so within it the channel indices are arithmetic, j + k·r mod size;
-the draws that follow it are taken in the order the per-half-slot clock took
-them. Each clock draws from its own generator, so a node's channel sequence
-is a pure function of its seed, and windows may be taken as far ahead as
-wanted. Every draw is randrange's own getrandbits rejection, inlined
-(_randbelow), so the streams match randrange's draw for draw.
+window, one per half-slot, so that the windows laid end to end give the
+node's channel in half 0 and half 1 of slot 0, slot 1, and so on. A modular
+window spans the stretch between two of the clock's redraws, so within it the
+channel indices are arithmetic, j + k·r mod size, and the draws that follow
+it are taken in the order a clock stepped one half-slot at a time takes
+them; an rcs window is one batch of draws. Each clock draws from its own
+generator, so a node's channel sequence is a pure function of its seed, and
+windows may be taken as far ahead as wanted. Every draw is randrange's own
+getrandbits rejection, inlined (_randbelow), so the streams match
+randrange's draw for draw.
 """
 
 import math
-from itertools import islice, repeat
+from itertools import repeat
+from operator import mod
 
 
 def _is_prime(n):
@@ -72,8 +75,9 @@ class DualModularClock:
         self.mp, self.np_ = split_primality(self.mi)
         size = len(self.mi)
         # channel at each index, per half: the subset indexed mod its length
-        self._first = [self.mp[j % len(self.mp)] for j in range(size)] if self.mp else self.mi
-        self._second = [self.np_[j % len(self.np_)] for j in range(size)] if self.np_ else self.mi
+        self._tables = [[sub[j % len(sub)] for j in range(size)] if sub else self.mi
+                        for sub in (self.mp, self.np_)]
+        self._halves = {}
         self._bits = rng.getrandbits
         self.j1 = _randbelow(self._bits, size)
         self.j2 = _randbelow(self._bits, size)
@@ -87,28 +91,36 @@ class DualModularClock:
             return 1
         return 1 + _randbelow(self._bits, size - 1)
 
+    def _half(self, half, j, r):
+        # one half's channels at j + k·r for k = 1..size: a pure function of
+        # (half, j, r), which repeats within an epoch of fixed indices
+        key = (half, j, r)
+        run = self._halves.get(key)
+        if run is None:
+            table = self._tables[half]
+            size = len(table)
+            run = self._halves[key] = [table[(j + k * r) % size] for k in range(1, size + 1)]
+        return run
+
     def select(self):
         size = len(self.mi)
-        j1, r1, j2, r2 = self.j1, self.r1, self.j2, self.r2
-        window = [None] * (2 * size)
-        # j + k·r for k = 1..size; after the window both indices are back
-        # where they started, so only the redraws below move them
-        window[0::2] = map(self._first.__getitem__,
-                           map(size.__rmod__, range(j1 + r1, j1 + (size + 1) * r1, r1)))
+        window = [0] * (2 * size)
+        # after a window of size steps both indices are back where they
+        # started, so only the redraws below move them
+        window[0::2] = self._half(0, self.j1, self.r1)
         if self.mp and self.np_:
             # disjoint subsets: the halves can never coincide
-            window[1::2] = map(self._second.__getitem__,
-                               map(size.__rmod__, range(j2 + r2, j2 + (size + 1) * r2, r2)))
+            window[1::2] = self._half(1, self.j2, self.r2)
         else:
             # both halves index the full set; a coinciding second half steps
             # one index further, and the shift carries over
-            mi = self.mi
+            j1, r1, j2, r2 = self.j1, self.r1, self.j2, self.r2
             for k in range(size):
                 j1 = (j1 + r1) % size
                 j2 = (j2 + r2) % size
                 if j2 == j1:
                     j2 = (j2 + 1) % size
-                window[2 * k + 1] = mi[j2]
+                window[2 * k + 1] = self.mi[j2]
             self.j2 = j2
         # Window end: fresh rates; indices are redrawn every
         # RESEED_INDEX_EVERY windows, and in every window when the set has
@@ -130,10 +142,10 @@ class RandomClock:
     The blind searcher ranges over every channel label, not just the node's
     usable set, so many attempts land on channels where the node cannot
     complete a handshake (the engine drops those attempts). Its draws carry
-    no state, so a window is any WINDOW half-slots.
+    no state, so a window is whatever DRAWS rejection draws accept.
     """
 
-    WINDOW = 64
+    DRAWS = 64
 
     def __init__(self, pool, rng):
         self.pool = sorted(pool)
@@ -143,12 +155,23 @@ class RandomClock:
         self._bits = rng.getrandbits
         self._size = len(self.pool)
         self._k = self._size.bit_length()
+        if self.pool[-1] < 256:
+            # getrandbits(k) is the top k bits of one 32-bit output, and
+            # getrandbits(32 * n) lays n outputs out least significant first,
+            # so the top byte of each little-endian word holds one draw:
+            # map it to its label, or drop it where randrange would redraw
+            shift = 8 - self._k
+            self._labels = b"".join(bytes((c,)) * (1 << shift) for c in self.pool).ljust(256, b"\0")
+            self._rejects = bytes(range(self._size << shift, 256))
 
     def select(self):
         # randrange(len(pool)) per half-slot: the same getrandbits rejection,
-        # filtered in C
-        draws = filter(self._size.__gt__, map(self._bits, repeat(self._k)))
-        return list(map(self.pool.__getitem__, islice(draws, self.WINDOW)))
+        # so the same stream
+        if self.pool[-1] < 256:
+            words = self._bits(32 * self.DRAWS).to_bytes(4 * self.DRAWS, "little")
+            return list(words[3::4].translate(self._labels, self._rejects))
+        draws = map(self._bits, repeat(self._k, self.DRAWS))
+        return [self.pool[r] for r in draws if r < self._size]
 
 
 class ModularClock:
@@ -178,14 +201,16 @@ class ModularClock:
         mi, p, bits = self.mi, self.p, self._bits
         size = len(mi)
         # steps 1..2p-1 are j + k·r; overflow picks draw in step order
-        steps = map(p.__rmod__, range(self.j + self.r, self.j + 2 * p * self.r, self.r))
+        steps = map(mod, range(self.j + self.r, self.j + 2 * p * self.r, self.r), repeat(p))
         window = [mi[j] if j < size else mi[_randbelow(bits, size)] for j in steps]
         # step 2p redraws rate, then index, and lands on the fresh index
         self.r = 1 + _randbelow(bits, p - 1)
         self.j = _randbelow(bits, p)
         window.append(mi[self.j] if self.j < size else mi[_randbelow(bits, size)])
         if self.per_slot:
-            return [c for c in window for _ in (0, 1)]
+            dwell = [0] * (2 * len(window))
+            dwell[0::2] = dwell[1::2] = window
+            return dwell
         return window
 
 

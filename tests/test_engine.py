@@ -13,8 +13,8 @@ from rendezsim.engine import (
     run_once,
 )
 from rendezsim.cli import main
-from rendezsim.pr_activity import PrParams
-from rendezsim.topology import _build_topology
+from rendezsim.pr_activity import ChannelOccupancy, PrParams
+from rendezsim.topology import _build_topology, assign_channels, deploy
 
 
 class StubOccupancy:
@@ -65,13 +65,39 @@ def test_mixed_busy_and_idle_channels():
     assert groups == {4: [0, 1]}
 
 
-def test_pr_is_asked_once_per_channel_in_first_seen_order():
-    # the occupancy stream is shared across channels, so the query order,
-    # singleton channels included, is part of the output
+def test_pr_is_asked_only_about_channels_holding_an_in_range_pair(monkeypatch):
+    # resolve_half_slot asks once about each channel with two nodes or more
     occ = StubOccupancy(busy={9})
     groups = resolve_half_slot({0: 7, 1: 3, 2: 7, 3: 9, 4: 5, 5: 9, 6: 3}, occ, 0)
-    assert occ.queries == [7, 3, 9, 5]
+    assert sorted(occ.queries) == [3, 7, 9]
     assert groups == {7: [0, 2], 3: [1, 6]}
+    # and in a run, PR hears of exactly the (half-slot, channel) pairs where
+    # two in-range nodes sit on a channel both can use, once each
+    asked = []
+    real = ChannelOccupancy.busy_during
+
+    def busy_during(self, channel, half_slot_index):
+        asked.append((half_slot_index, channel))
+        return real(self, channel, half_slot_index)
+
+    monkeypatch.setattr(ChannelOccupancy, "busy_during", busy_during)
+    n = 10
+    topo = deploy(n, (300.0, 300.0), 100.0, 5)
+    chans = assign_channels(n, 10, 2, 6)
+    for protocol in ("rcs", "emca", "mrdmca"):
+        asked.clear()
+        buf = io.StringIO()
+        run_once(make_cfg(protocol=protocol, n_nodes=n, pr=PrParams.high(), seed=8),
+                 topo=topo, chans=chans, trace=buf)
+        selected = {}
+        for line in buf.getvalue().splitlines():
+            slot, half, node, channel, event, _ = line.split(maxsplit=5)
+            if event == "select":
+                selected[2 * int(slot) + int(half), int(node)] = int(channel)
+        expected = {(h, c) for (h, i), c in selected.items() if c in chans[i]
+                    for j in topo.dnl_star[i] if selected[h, j] == c and c in chans[j]}
+        assert len(asked) == len(set(asked)) and set(asked) == expected
+        assert expected
 
 
 def test_disabled_pr_is_never_asked():

@@ -345,18 +345,23 @@ def test_seeded_clock_sequences_are_reproducible():
 
 
 def test_random_clock_draws_the_randrange_stream():
-    # every clock draw inlines randrange's getrandbits rejection: the rcs
-    # window, rate draws randrange(1, p) and index and overflow draws
-    # randrange(L) must give the same values and leave the generator in the
-    # same state, draw for draw
-    for size in range(1, 41):
+    # every clock draw inlines randrange's getrandbits rejection: rcs windows,
+    # rate draws randrange(1, p) and index and overflow draws randrange(L)
+    # must give the same values and leave the generator in the same state,
+    # draw for draw. An rcs window ends on a batch of raw draws, whose last
+    # rejected ones randrange would also have drawn and rejected, so there the
+    # states agree from the next draw on.
+    for size in [*range(1, 41), 255, 256, 300]:
         pool = list(range(1, size + 1))
         for seed in (0, 1, 7, 2**40 + 3):
             for draw in ("rcs window", "randrange(1, p)", "randrange(L)"):
                 rng, reference = random.Random(seed), random.Random(seed)
                 if draw == "rcs window":
-                    got = RandomClock(pool, rng).select()
+                    clock = RandomClock(pool, rng)
+                    got = clock.select() + clock.select()
                     expected = [pool[reference.randrange(size)] for _ in got]
+                    got.append(pool[rng.randrange(size)])
+                    expected.append(pool[reference.randrange(size)])
                 elif draw == "randrange(1, p)":
                     p = size + 1  # rates are drawn from 1..p-1 with p >= 2
                     got = [1 + _randbelow(rng.getrandbits, p - 1) for _ in range(50)]
