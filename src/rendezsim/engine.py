@@ -177,11 +177,11 @@ def _lane_packers(chans, pool_size):
     non-zero. Lanes are one byte wide while every label fits, else two.
     Returns (width, packers).
     """
-    top = max([pool_size, *map(max, filter(None, chans))])
-    width = 1 if top < 256 else 2
+    highest = max([pool_size, *map(max, filter(None, chans))])
+    width = 1 if highest < 256 else 2
     packers = []
     for own in chans:
-        keep = bytearray(256) if width == 1 else [0] * (top + 1)
+        keep = bytearray(256) if width == 1 else [0] * (highest + 1)
         for c in own:
             keep[c] = c
         if width == 1:
@@ -189,15 +189,6 @@ def _lane_packers(chans, pool_size):
         else:
             packers.append(lambda row, lut=keep: array("H", map(lut.__getitem__, row)))
     return width, packers
-
-
-def _lane_masks(width, n_lanes):
-    """(low, high) SWAR masks: each lane's low bits set, and its top bit."""
-    top = 1 << (8 * width - 1)
-    order = sys.byteorder
-    low = int.from_bytes((top - 1).to_bytes(width, order) * n_lanes, order)
-    high = int.from_bytes(top.to_bytes(width, order) * n_lanes, order)
-    return low, high
 
 
 def co_channel_pairs(lanes, width, edges):
@@ -208,12 +199,15 @@ def co_channel_pairs(lanes, width, edges):
     ascending. Each edge costs a handful of big-integer operations over the
     whole chunk: XOR the two lane strings and flag the zero lanes with the
     carry-free test ((x & low) + low) | x, whose top bit per lane is set
-    exactly where the lane is non-zero.
+    exactly where the lane is non-zero (low has every lane's other bits set,
+    high every lane's top bit).
     """
     order = sys.byteorder
     n_lanes = len(lanes[0])
-    low, high = _lane_masks(width, n_lanes)
-    top = width - 1 if order == "little" else 0  # the byte of a lane's top bit
+    top_bit = 1 << (8 * width - 1)
+    low = int.from_bytes((top_bit - 1).to_bytes(width, order) * n_lanes, order)
+    high = int.from_bytes(top_bit.to_bytes(width, order) * n_lanes, order)
+    top_byte = width - 1 if order == "little" else 0  # where a lane's top bit sits
     values = [int.from_bytes(lane, order) for lane in lanes]
     usable = [((v & low) + low | v) & high for v in values]
     found = defaultdict(list)
@@ -222,7 +216,7 @@ def co_channel_pairs(lanes, width, edges):
         x = values[i] ^ values[j]
         meet = usable[i] & ~((x & low) + low | x)
         if meet:
-            flags = meet.to_bytes(n_lanes * width, order)[top::width]
+            flags = meet.to_bytes(n_lanes * width, order)[top_byte::width]
             for t in compress(range(n_lanes), flags):
                 found[t].append(pair)
     return found

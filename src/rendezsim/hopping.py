@@ -155,11 +155,13 @@ class RandomClock:
         self._bits = rng.getrandbits
         self._size = len(self.pool)
         self._k = self._size.bit_length()
-        if self.pool[-1] < 256:
-            # getrandbits(k) is the top k bits of one 32-bit output, and
-            # getrandbits(32 * n) lays n outputs out least significant first,
-            # so the top byte of each little-endian word holds one draw:
-            # map it to its label, or drop it where randrange would redraw
+        # getrandbits(k) is the top k bits of one 32-bit output, and
+        # getrandbits(32 * n) lays n outputs out least significant first, so
+        # with k <= 8 the top byte of each little-endian word holds one draw:
+        # translate maps it to its label, or drops it where randrange would
+        # draw again. Labels past a byte are drawn one call at a time.
+        self._bytewise = self._k <= 8 and self.pool[-1] < 256
+        if self._bytewise:
             shift = 8 - self._k
             self._labels = b"".join(bytes((c,)) * (1 << shift) for c in self.pool).ljust(256, b"\0")
             self._rejects = bytes(range(self._size << shift, 256))
@@ -167,7 +169,7 @@ class RandomClock:
     def select(self):
         # randrange(len(pool)) per half-slot: the same getrandbits rejection,
         # so the same stream
-        if self.pool[-1] < 256:
+        if self._bytewise:
             words = self._bits(32 * self.DRAWS).to_bytes(4 * self.DRAWS, "little")
             return list(words[3::4].translate(self._labels, self._rejects))
         draws = map(self._bits, repeat(self._k, self.DRAWS))
