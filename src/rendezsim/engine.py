@@ -174,8 +174,9 @@ def _lane_packers(chans, pool_size):
 
     A lane holds the label where the node can use it and 0 elsewhere, so two
     nodes meet on a usable channel exactly where their lanes are equal and
-    non-zero. Lanes are one byte wide while every label fits, else two.
-    Returns (width, packers).
+    non-zero. Lanes are one byte wide while every label fits, else two; a
+    packer takes a bytearray of labels when they are one byte wide, else a
+    list. Returns (width, packers).
     """
     highest = max([pool_size, *map(max, filter(None, chans))])
     width = 1 if highest < 256 else 2
@@ -185,7 +186,7 @@ def _lane_packers(chans, pool_size):
         for c in own:
             keep[c] = c
         if width == 1:
-            packers.append(lambda row, table=bytes(keep): bytes(row).translate(table))
+            packers.append(lambda row, table=bytes(keep): row.translate(table))
         else:
             packers.append(lambda row, lut=keep: array("H", map(lut.__getitem__, row)))
     return width, packers
@@ -319,14 +320,14 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     # stop is the first half-slot not simulated: the cap until the last node
     # gets its stop mark, then the end of that slot
     stop = 2 * cfg.max_slots if pending else 0
-    buffers = [[] for _ in range(n)]
+    buffers = [bytearray() if width == 1 else [] for _ in range(n)]
     h0, chunk, traced = 0, FIRST_CHUNK, 0
     while h0 < stop:
         size = min(chunk, stop - h0)
         rows = []
         for select, buf in zip(selects, buffers):
             while len(buf) < size:
-                buf += select()
+                buf.extend(select())
             rows.append(buf[:size])
             del buf[:size]
         # a node can only transact on a channel in its usable set; blind
