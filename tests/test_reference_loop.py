@@ -28,7 +28,7 @@ from rendezsim.engine import (
 from rendezsim.hopping import PROTOCOLS, make_clock
 from rendezsim.metrics import ctm, ptm
 from rendezsim.pr_activity import ChannelOccupancy, PrParams
-from rendezsim.topology import assign_channels
+from rendezsim.topology import _build_topology, assign_channels
 
 
 def reference_resolve(attempts, occupancy, half_slot_index):
@@ -161,7 +161,6 @@ def test_event_engine_matches_the_per_half_slot_loop(protocol):
 def test_event_engine_matches_on_a_supplied_deployment():
     # a three-node chain on the whole pool, and a pool past 255 labels with
     # channel sets that use labels above 255, so lanes are two bytes wide
-    from rendezsim.topology import _build_topology
     topo = _build_topology([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], 100.0)
     for protocol in PROTOCOLS:
         for chans, pool_size in ((((1, 2, 3),) * 3, 3),
