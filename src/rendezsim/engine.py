@@ -1,20 +1,11 @@
-"""Slot-synchronous simulation with half-slot rendezvous resolution.
-
-The run is event-driven. Every node's channel sequence is a pure function of
-its clock's seed, so the engine takes the sequences a chunk of half-slots at
-a time and finds, for every in-range pair at once, the half-slots where both
-sit on the same usable channel. Only those half-slots are resolved; in any
-other one no handshake can happen and nothing changes.
-"""
+"""Slot-synchronous simulation loop with half-slot rendezvous resolution."""
 
 import math
 import random
-import sys
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
+from operator import eq, itemgetter
 
 from . import protocol as proto
 from .hopping import make_clock, PROTOCOLS
@@ -24,13 +15,6 @@ from .topology import deploy, assign_channels
 
 DEFAULT_MAX_SLOTS = 50_000
 DEFAULT_RANGE_M = 100.0
-
-# Half-slots per chunk: the first chunk is short so that short runs do not
-# take far more of their clocks than they use; each next one is half as long
-# again, in whole slots, up to the last size.
-FIRST_CHUNK = 64
-LAST_CHUNK = 2048
-
 
 def default_area_side(n_nodes, range_m=DEFAULT_RANGE_M):
     """Square side for the default deployment area.
@@ -126,15 +110,15 @@ def resolve_half_slot(attempts, occupancy, half_slot_index):
     """Group attempting nodes by channel after PR deferral.
 
     attempts maps node id -> channel in ascending node order; run_once
-    passes the nodes that share their usable channel with an in-range
-    neighbour, as only they can handshake. Nodes defer when their channel is
-    PR-busy at any point in the half-slot: a handshake needs the channel for
-    the whole exchange, so a primary arriving mid-way disrupts it too. PR is
-    asked once about each channel holding at least two nodes and about no
-    other; every channel has its own ON/OFF stream, so which channels are
-    asked changes no answer. With PR disabled nothing is asked. Returns
-    {channel: node list, ascending} for the idle channels with at least two
-    nodes.
+    passes, in every half-slot, the nodes that share their usable channel
+    with an in-range neighbour, as only they can handshake. Nodes defer when
+    their channel is PR-busy at any point in the half-slot: a handshake needs
+    the channel for the whole exchange, so a primary arriving mid-way
+    disrupts it too. PR is asked once about each channel holding at least
+    two nodes and about no other; every channel has its own ON/OFF stream,
+    so which channels are asked changes no answer. With PR disabled nothing
+    is asked. Returns {channel: node list, ascending} for the idle channels
+    with at least two nodes.
     """
     groups = {}
     for node, ch in attempts.items():
@@ -169,58 +153,12 @@ class IncompleteRun(RuntimeError):
     """Safety cap reached before the run finished."""
 
 
-def _lane_packers(chans, pool_size):
-    """Per node, a function packing channel labels into one lane each.
-
-    A lane holds the label where the node can use it and 0 elsewhere, so two
-    nodes meet on a usable channel exactly where their lanes are equal and
-    non-zero. Lanes are one byte wide while every label fits, else two; a
-    packer takes a bytearray of labels when they are one byte wide, else a
-    list. Returns (width, packers).
-    """
-    highest = max([pool_size, *map(max, filter(None, chans))])
-    width = 1 if highest < 256 else 2
-    packers = []
-    for own in chans:
-        keep = bytearray(256) if width == 1 else [0] * (highest + 1)
-        for c in own:
-            keep[c] = c
-        if width == 1:
-            packers.append(lambda row, table=bytes(keep): row.translate(table))
-        else:
-            packers.append(lambda row, lut=keep: array("H", map(lut.__getitem__, row)))
-    return width, packers
-
-
-def co_channel_pairs(lanes, width, edges):
-    """{lane index: [(i, j), ...]} where an edge's two lanes meet.
-
-    lanes are the nodes' packed lanes for one chunk, all the same length;
-    edges are in-range pairs i < j in ascending order, so every list comes out
-    ascending. Each edge costs a handful of big-integer operations over the
-    whole chunk: XOR the two lane strings and flag the zero lanes with the
-    carry-free test ((x & low) + low) | x, whose top bit per lane is set
-    exactly where the lane is non-zero (low has every lane's other bits set,
-    high every lane's top bit).
-    """
-    order = sys.byteorder
-    n_lanes = len(lanes[0])
-    top_bit = 1 << (8 * width - 1)
-    low = int.from_bytes((top_bit - 1).to_bytes(width, order) * n_lanes, order)
-    high = int.from_bytes(top_bit.to_bytes(width, order) * n_lanes, order)
-    top_byte = width - 1 if order == "little" else 0  # where a lane's top bit sits
-    values = [int.from_bytes(lane, order) for lane in lanes]
-    usable = [((v & low) + low | v) & high for v in values]
-    found = defaultdict(list)
-    for pair in edges:
-        i, j = pair
-        x = values[i] ^ values[j]
-        meet = usable[i] & ~((x & low) + low | x)
-        if meet:
-            flags = meet.to_bytes(n_lanes * width, order)[top_byte::width]
-            for t in compress(range(n_lanes), flags):
-                found[t].append(pair)
-    return found
+def _picker(indices):
+    """A function taking a sequence to the tuple of its items at indices."""
+    if len(indices) == 1:
+        index, = indices  # itemgetter would return the bare item
+        return lambda seq: (seq[index],)
+    return itemgetter(*indices) if indices else lambda seq: ()
 
 
 def deployment_key(cfg, topo_seed):
@@ -251,12 +189,11 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     node's selection in every half-slot, then that half-slot's handshakes and
     stop marks.
 
-    The loop is event-driven. It takes every node's channels a chunk of
-    half-slots at a time, packs them into lanes (co_channel_pairs) and visits
-    only the half-slots where an in-range pair shares a usable channel, in
-    (half-slot, channel, i, j) order; nothing can happen in any other one.
-    The run ends after both halves of the slot in which the last node gets
-    its stop mark, or raises IncompleteRun when max_slots slots pass first.
+    Each half-slot takes every node's channel, then compares the two ends
+    of every in-range pair at once; the pairs that meet on a channel both
+    can use are resolved, in (channel, i, j) order. The run ends after both
+    halves of the slot in which the last node gets its stop mark, or raises
+    IncompleteRun when max_slots slots pass first.
 
     A stop mark only freezes a node's PTM: the node keeps hopping,
     handshaking and relaying gossip, which a neighbour may need, until every
@@ -279,9 +216,11 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     selects = [make_clock(cfg.protocol, chans[i],
                           random.Random(clock_rng.getrandbits(63)), pool=pool).select
                for i in range(n)]
-    width, packers = _lane_packers(chans, cfg.pool_size)
+    usable = [frozenset(chans[i]) for i in range(n)]
     neighbour_sets = topo.dnl_star
     edges = [(i, j) for i in range(n) for j in sorted(neighbour_sets[i]) if i < j]
+    firsts = _picker([i for i, _ in edges])
+    seconds = _picker([j for _, j in edges])
     in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
     states = [proto.NodeState(i, in_range[i]) for i in range(n)]
 
@@ -308,49 +247,32 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                 pending.discard(i)
                 ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
 
-    def trace_selections(end):
-        # every node's channel in each half-slot up to end, not yet written
-        nonlocal traced
-        for h in range(traced, end):
-            slot, half = divmod(h, 2)
-            for i, row in enumerate(rows):
-                trace.write(f"{slot} {half} {i} {row[h - h0]} select -\n")
-        traced = end
-
-    # stop is the first half-slot not simulated: the cap until the last node
-    # gets its stop mark, then the end of that slot
-    stop = 2 * cfg.max_slots if pending else 0
-    buffers = [bytearray() if width == 1 else [] for _ in range(n)]
-    h0, chunk, traced = 0, FIRST_CHUNK, 0
-    while h0 < stop:
-        size = min(chunk, stop - h0)
-        rows = []
-        for select, buf in zip(selects, buffers):
-            while len(buf) < size:
-                buf.extend(select())
-            rows.append(buf[:size])
-            del buf[:size]
-        # a node can only transact on a channel in its usable set; blind
-        # searchers that tuned elsewhere listen without effect
-        lanes = [pack(row) for pack, row in zip(packers, rows)]
-        found = co_channel_pairs(lanes, width, edges)
-        for t in sorted(found):
-            h = h0 + t
-            if h >= stop:
-                break
-            pairs = found[t]
-            if len(pairs) == 1:
-                (i, j), = pairs
-                ch = lanes[i][t]
-                attempts = {i: ch, j: ch}
-            else:
-                attempts = {u: lanes[u][t] for u in sorted({u for pair in pairs for u in pair})}
-            groups = resolve_half_slot(attempts, occupancy, h)
+    slot = 0
+    half_index = 0
+    while pending:
+        if slot >= cfg.max_slots:
+            raise IncompleteRun(
+                f"safety cap of {cfg.max_slots} slots reached with "
+                f"{len(pending)} node(s) unfinished (seed {cfg.seed})"
+            )
+        for half in (0, 1):
+            selections = [select() for select in selects]
             if trace is not None:
-                trace_selections(h + 1)
+                for i, c in enumerate(selections):
+                    trace.write(f"{slot} {half} {i} {c} select -\n")
+            # a node can only transact on a channel in its usable set; blind
+            # searchers that tuned elsewhere listen without effect
+            attempts = {}
+            for i, j in compress(edges, map(eq, firsts(selections), seconds(selections))):
+                ch = selections[i]
+                if ch in usable[i] and ch in usable[j]:
+                    attempts[i] = attempts[j] = ch
+            if len(attempts) > 2:
+                attempts = dict(sorted(attempts.items()))
+            groups = resolve_half_slot(attempts, occupancy, half_index)
+            half_index += 1
             if not groups:
                 continue
-            slot, half = divmod(h, 2)
             touched = []
             for ch in sorted(groups):
                 for i, j in handshake_pairs(groups[ch], neighbour_sets):
@@ -358,26 +280,15 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                     touched += (i, j)
                     if trace is not None:
                         trace.write(f"{slot} {half} {i} {ch} handshake peer={j}\n")
-            tnow = (h + 1) * 0.5
+            tnow = half_index * 0.5
             for i in sorted(touched):
                 update_marks(i, tnow, slot, half)
-            if not pending:
-                stop = min(stop, (h | 1) + 1)
-        if trace is not None:
-            trace_selections(min(h0 + size, stop))
-        h0 += size
-        chunk = min(chunk + chunk // 4 * 2, LAST_CHUNK)
-
-    if pending:
-        raise IncompleteRun(
-            f"safety cap of {cfg.max_slots} slots reached with "
-            f"{len(pending)} node(s) unfinished (seed {cfg.seed})"
-        )
+        slot += 1
 
     return RunRecord(
         scenario=cfg.scenario_key(),
         seed=cfg.seed,
-        slots_used=stop // 2,
+        slots_used=slot,
         t_n1=t_n1,
         t_full=t_full,
         ptm=ptm_values,

@@ -1,21 +1,21 @@
 """Channel-selection engines: dual modular clocks and the 2RATS baselines.
 
-All protocols make exactly two rendezvous attempts per slot. A clock's whole
-contract is select(): each call returns the channels of the clock's next
-window, one per half-slot, so that the windows laid end to end give the
-node's channel in half 0 and half 1 of slot 0, slot 1, and so on. A modular
-window spans the stretch between two of the clock's redraws, so within it the
-channel indices are arithmetic, j + k·r mod size, and the draws that follow
-it are taken in the order a clock stepped one half-slot at a time takes
-them; an rcs window is one batch of draws. Each clock draws from its own
-generator, so a node's channel sequence is a pure function of its seed, and
-windows may be taken as far ahead as wanted. Every draw is randrange's own
-getrandbits rejection, inlined (_randbelow), so the streams match
+All protocols make exactly two rendezvous attempts per slot. A clock's
+contract is select(): each call returns the node's channel in the next
+half-slot, half 0 and half 1 of slot 0, then of slot 1, and so on. Clocks
+compute their channels a window at a time (window()), and select() hands the
+windows out one half-slot after another. A modular window spans the stretch
+between two of the clock's redraws, so within it the channel indices are
+arithmetic, j + k·r mod size, and the draws that follow it are taken in the
+order a clock stepped one half-slot at a time takes them; an rcs window is
+one batch of draws. Each clock draws from its own generator, so a node's
+channel sequence is a pure function of its seed. Every draw is randrange's
+own getrandbits rejection, inlined (_randbelow), so the streams match
 randrange's draw for draw.
 """
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mod
 
 
@@ -52,13 +52,28 @@ def smallest_prime_geq(n):
     return p
 
 
-class DualModularClock:
+class _Clock:
+    """select() over a subclass's window(); subclasses call _start last."""
+
+    def _start(self):
+        self._channels = chain.from_iterable(iter(self.window, None))
+
+    def select(self):
+        """The node's channel in the next half-slot.
+
+        Takes the clock's windows one half-slot at a time; a clock driven
+        through select should not also be asked for windows directly.
+        """
+        return next(self._channels)
+
+
+class DualModularClock(_Clock):
     """Two independent modular clocks over prime / non-prime channel subsets.
 
     The first half-slot hops over the prime-labelled channels, the second over
     the non-prime ones; an empty subset falls back to the full set. A window
     is len(channels) slots; rates are redrawn after every window, indices only
-    every RESEED_INDEX_EVERY windows (see select for why they cannot be
+    every RESEED_INDEX_EVERY windows (see window for why they cannot be
     preserved forever).
     """
 
@@ -77,13 +92,13 @@ class DualModularClock:
         # channel at each index, per half: the subset indexed mod its length
         self._tables = [[sub[j % len(sub)] for j in range(size)] if sub else self.mi
                         for sub in (self.mp, self.np_)]
-        self._halves = {}
         self._bits = rng.getrandbits
         self.j1 = _randbelow(self._bits, size)
         self.j2 = _randbelow(self._bits, size)
         self.r1 = self._draw_rate()
         self.r2 = self._draw_rate()
         self._windows = 0
+        self._start()
 
     def _draw_rate(self):
         size = len(self.mi)
@@ -91,26 +106,19 @@ class DualModularClock:
             return 1
         return 1 + _randbelow(self._bits, size - 1)
 
-    def _half(self, half, j, r):
-        # one half's channels at j + k·r for k = 1..size: a pure function of
-        # (half, j, r), which repeats within an epoch of fixed indices
-        key = (half, j, r)
-        run = self._halves.get(key)
-        if run is None:
-            table = self._tables[half]
-            size = len(table)
-            run = self._halves[key] = [table[(j + k * r) % size] for k in range(1, size + 1)]
-        return run
-
-    def select(self):
+    def window(self):
         size = len(self.mi)
+        steps = range(1, size + 1)
+        first, second = self._tables
         window = [0] * (2 * size)
         # after a window of size steps both indices are back where they
         # started, so only the redraws below move them
-        window[0::2] = self._half(0, self.j1, self.r1)
+        j, r = self.j1, self.r1
+        window[0::2] = [first[(j + k * r) % size] for k in steps]
         if self.mp and self.np_:
             # disjoint subsets: the halves can never coincide
-            window[1::2] = self._half(1, self.j2, self.r2)
+            j, r = self.j2, self.r2
+            window[1::2] = [second[(j + k * r) % size] for k in steps]
         else:
             # both halves index the full set; a coinciding second half steps
             # one index further, and the shift carries over
@@ -136,7 +144,7 @@ class DualModularClock:
         return window
 
 
-class RandomClock:
+class RandomClock(_Clock):
     """RCS: a uniform random channel from the whole pool each half-slot.
 
     The blind searcher ranges over every channel label, not just the node's
@@ -165,8 +173,9 @@ class RandomClock:
             shift = 8 - self._k
             self._labels = b"".join(bytes((c,)) * (1 << shift) for c in self.pool).ljust(256, b"\0")
             self._rejects = bytes(range(self._size << shift, 256))
+        self._start()
 
-    def select(self):
+    def window(self):
         # randrange(len(pool)) per half-slot: the same getrandbits rejection,
         # so the same stream
         if self._bytewise:
@@ -176,7 +185,7 @@ class RandomClock:
         return [self.pool[r] for r in draws if r < self._size]
 
 
-class ModularClock:
+class ModularClock(_Clock):
     """Classic single modular clock over the node's usable set (MCA, EMCA).
 
     The modulus is the smallest prime >= len(channels); an index overflowing
@@ -198,8 +207,9 @@ class ModularClock:
         self.j = _randbelow(self._bits, self.p)
         self.r = 1 + _randbelow(self._bits, self.p - 1)
         self.per_slot = per_slot
+        self._start()
 
-    def select(self):
+    def window(self):
         mi, p, bits = self.mi, self.p, self._bits
         size = len(mi)
         # steps 1..2p-1 are j + k·r; overflow picks draw in step order

@@ -3,7 +3,7 @@
 import math
 import random
 from collections import Counter
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import pytest
 
@@ -19,8 +19,8 @@ from rendezsim.hopping import (
 
 
 def half_slots(clock, n):
-    """The clock's first n channels, one per half-slot, across its windows."""
-    return list(islice(chain.from_iterable(iter(clock.select, None)), n))
+    """The clock's first n channels, one select per half-slot."""
+    return [clock.select() for _ in range(n)]
 
 
 def dual_clock_oracle(channels, j1, r1, j2, r2, steps):
@@ -77,7 +77,7 @@ def test_first_half_prime_subset_arithmetic():
     # index 5, i.e. channel [2,3,5,7][5 mod 4] = 3
     clock = DualModularClock(range(1, 11), random.Random(0))
     set_dual_state(clock, j1=3, r1=2, j2=0, r2=1)
-    window = clock.select()
+    window = clock.window()
     assert window[0] == 3
     assert window[2] == 7  # index 7 -> [2,3,5,7][7 mod 4]
     # a window of |m_i| steps brings the index back to where it started
@@ -87,7 +87,7 @@ def test_first_half_prime_subset_arithmetic():
 def test_first_half_falls_back_to_full_set_without_primes():
     clock = DualModularClock({4, 6, 8}, random.Random(0))
     set_dual_state(clock, j1=2, r1=1, j2=0, r2=1)
-    window = clock.select()
+    window = clock.window()
     assert window[0] == 4  # j1 wraps to 0; channel m_i[0]
     assert window[0::2] == [4, 6, 8]
 
@@ -97,7 +97,7 @@ def test_second_half_non_prime_subset_arithmetic():
     # on index 3, i.e. channel 8
     clock = DualModularClock(range(1, 11), random.Random(0))
     set_dual_state(clock, j1=0, r1=1, j2=0, r2=3)
-    assert clock.select()[1] == 8
+    assert clock.window()[1] == 8
 
 
 def test_second_half_shifts_off_a_first_half_collision():
@@ -105,7 +105,7 @@ def test_second_half_shifts_off_a_first_half_collision():
     # repeat the first half's channel; it steps one index further instead
     clock = DualModularClock({2, 3, 5}, random.Random(0))
     set_dual_state(clock, j1=0, r1=1, j2=0, r2=1)
-    window = clock.select()
+    window = clock.window()
     c1, c2 = window[0], window[1]
     assert c1 == 3  # j1 -> 1
     assert c2 == 5  # j2 -> 1 collides with c1, shifted to index 2
@@ -125,7 +125,7 @@ def test_halves_never_collide_when_both_subsets_exist():
                 for r1 in range(1, size):
                     clock = DualModularClock(chans, random.Random(0))
                     set_dual_state(clock, j1=j1, r1=r1, j2=(j1 + 1) % size, r2=r1)
-                    assert all(c1 != c2 for c1, c2 in pairs(clock.select()))
+                    assert all(c1 != c2 for c1, c2 in pairs(clock.window()))
 
 
 def test_dual_clock_matches_modular_oracle_within_a_window():
@@ -140,7 +140,7 @@ def test_dual_clock_matches_modular_oracle_within_a_window():
             clock = DualModularClock(chans, random.Random(0))
             set_dual_state(clock, j1, r1, j2, r2)
             expected, _, _ = dual_clock_oracle(chans, j1, r1, j2, r2, size)
-            window = clock.select()  # one reseed window
+            window = clock.window()  # one reseed window
             assert len(window) == 2 * size
             assert pairs(window) == expected
 
@@ -174,7 +174,7 @@ def dual_clock_reseed_oracle(channels, seed, windows):
 
 
 def test_dual_clock_matches_oracle_across_reseeds():
-    # select alone drives the clock: it counts its own windows and reseeds
+    # select alone drives the clock: its windows count themselves and reseed
     # at each window end, so 40 windows cross one index redraw (window 30)
     # and, for sets of fewer than three channels, an index redraw every window
     windows = 40
@@ -189,7 +189,7 @@ def test_dual_clock_matches_oracle_across_reseeds():
 def test_rates_and_indices_stay_in_range_across_reseeds():
     clock = DualModularClock(range(1, 11), random.Random(5))
     for _ in range(300):
-        clock.select()
+        clock.window()
         assert 0 <= clock.j1 < 10 and 0 <= clock.j2 < 10
         assert 1 <= clock.r1 < 10 and 1 <= clock.r2 < 10
 
@@ -208,7 +208,7 @@ def test_reseed_breaks_index_lockstep_between_clocks():
 def test_two_channel_set_forces_unit_rates():
     clock = DualModularClock({3, 5}, random.Random(1))
     for _ in range(50):
-        clock.select()
+        clock.window()
         assert clock.r1 == 1 and clock.r2 == 1
 
 
@@ -218,7 +218,7 @@ def test_dual_clock_first_half_cycles_with_modular_period():
     clock = DualModularClock(chans, random.Random(0))
     set_dual_state(clock, j1=0, r1=4, j2=0, r2=1)
     period = 10 // math.gcd(4, 10)
-    seq = clock.select()[0::2]  # the first halves of one window
+    seq = clock.window()[0::2]  # the first halves of one window
     assert seq[:period] == seq[period:2 * period]
     assert len(set(seq[:period])) > 1
 
@@ -250,7 +250,7 @@ def test_modular_clock_prime_modulus_and_overflow():
     clock.j, clock.r = 3, 1
     rng = random.Random(0)
     ModularClock([1, 2, 3, 4], rng)  # the same construction draws
-    window = clock.select()
+    window = clock.window()
     assert window[0] == 1 + rng.randrange(4)
     assert window[1:5] == [1, 2, 3, 4]  # indices 0..3 after the overflow
 
@@ -291,7 +291,7 @@ def test_modular_clock_resamples_index_and_rate_each_window():
                 states = set()
                 got = []
                 for _ in range(20):
-                    window = clock.select()
+                    window = clock.window()
                     assert len(window) == 2 * p * half_slots_per_step
                     got += window[::half_slots_per_step]
                     states.add(clock.j)
@@ -304,7 +304,7 @@ def test_modular_clock_resamples_index_and_rate_each_window():
 def test_per_slot_clock_dwells_for_both_halves():
     dwell = ModularClock(range(1, 11), random.Random(2), per_slot=True)
     for _ in range(10):
-        window = dwell.select()
+        window = dwell.window()
         assert window[0::2] == window[1::2]
 
 
@@ -313,7 +313,7 @@ def test_half_slot_clock_advances_every_half():
     # every step lands on a fresh index and no two neighbours repeat unless
     # an overflow pick happens to land there
     clock = ModularClock(range(1, 11), random.Random(2))
-    window = clock.select()
+    window = clock.window()
     assert len(window) == 2 * clock.p
     assert sum(a != b for a, b in zip(window, window[1:])) >= len(window) - 5
 
@@ -360,7 +360,7 @@ def test_random_clock_draws_the_randrange_stream():
                 rng, reference = random.Random(seed), random.Random(seed)
                 if draw == "rcs window":
                     clock = RandomClock(pool, rng)
-                    got = clock.select() + clock.select()
+                    got = clock.window() + clock.window()
                     expected = [pool[reference.randrange(size)] for _ in got]
                     got.append(pool[rng.randrange(size)])
                     expected.append(pool[reference.randrange(size)])
