@@ -15,7 +15,7 @@ randrange's draw for draw.
 """
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mod
 
 
@@ -53,10 +53,9 @@ def smallest_prime_geq(n):
 
 
 class _Clock:
-    """select() over a subclass's window(); subclasses call _start last."""
+    """select() over a subclass's window()."""
 
-    def _start(self):
-        self._channels = chain.from_iterable(iter(self.window, None))
+    _channels = iter(())  # spent, so the first select takes a window
 
     def select(self):
         """The node's channel in the next half-slot.
@@ -64,7 +63,11 @@ class _Clock:
         Takes the clock's windows one half-slot at a time; a clock driven
         through select should not also be asked for windows directly.
         """
-        return next(self._channels)
+        try:
+            return next(self._channels)
+        except StopIteration:
+            self._channels = iter(self.window())
+            return self.select()
 
 
 class DualModularClock(_Clock):
@@ -98,7 +101,6 @@ class DualModularClock(_Clock):
         self.r1 = self._draw_rate()
         self.r2 = self._draw_rate()
         self._windows = 0
-        self._start()
 
     def _draw_rate(self):
         size = len(self.mi)
@@ -173,7 +175,6 @@ class RandomClock(_Clock):
             shift = 8 - self._k
             self._labels = b"".join(bytes((c,)) * (1 << shift) for c in self.pool).ljust(256, b"\0")
             self._rejects = bytes(range(self._size << shift, 256))
-        self._start()
 
     def window(self):
         # randrange(len(pool)) per half-slot: the same getrandbits rejection,
@@ -207,7 +208,6 @@ class ModularClock(_Clock):
         self.j = _randbelow(self._bits, self.p)
         self.r = 1 + _randbelow(self._bits, self.p - 1)
         self.per_slot = per_slot
-        self._start()
 
     def window(self):
         mi, p, bits = self.mi, self.p, self._bits

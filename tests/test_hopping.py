@@ -337,6 +337,14 @@ def test_rcs_clock_uses_the_pool_not_the_node_set():
     assert seen == set(range(1, 11))
 
 
+def test_select_passes_over_an_empty_window():
+    # an rcs window could, however rarely, reject every one of its draws
+    clock = RandomClock([1, 2, 3], random.Random(0))
+    windows = iter([[], [], [2, 3]])
+    clock.window = lambda: next(windows)
+    assert [clock.select(), clock.select()] == [2, 3]
+
+
 def test_seeded_clock_sequences_are_reproducible():
     for proto in ("rcs", "mca", "emca", "mrdmca"):
         a = make_clock(proto, range(1, 11), random.Random(77), pool=list(range(1, 11)))
