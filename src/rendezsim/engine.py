@@ -16,6 +16,7 @@ from .topology import deploy, assign_channels
 DEFAULT_MAX_SLOTS = 50_000
 DEFAULT_RANGE_M = 100.0
 
+
 def default_area_side(n_nodes, range_m=DEFAULT_RANGE_M):
     """Square side for the default deployment area.
 
@@ -210,15 +211,16 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     if chans is None:
         chans = assign_channels(cfg.n_nodes, cfg.pool_size, cfg.similarity, chan_seed)
     n = cfg.n_nodes
+    nodes = range(n)
     occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
     clock_rng = random.Random(clock_seed)
     pool = list(range(1, cfg.pool_size + 1))
     selects = [make_clock(cfg.protocol, chans[i],
                           random.Random(clock_rng.getrandbits(63)), pool=pool).select
-               for i in range(n)]
-    usable = [frozenset(chans[i]) for i in range(n)]
+               for i in nodes]
+    usable = [frozenset(chans[i]) for i in nodes]
     neighbour_sets = topo.dnl_star
-    edges = [(i, j) for i in range(n) for j in sorted(neighbour_sets[i]) if i < j]
+    edges = [(i, j) for i in nodes for j in sorted(neighbour_sets[i]) if i < j]
     firsts = _picker([i for i, _ in edges])
     seconds = _picker([j for _, j in edges])
     in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n

@@ -66,8 +66,12 @@ class _Clock:
         try:
             return next(self._channels)
         except StopIteration:
-            self._channels = iter(self.window())
-            return self.select()
+            pass
+        window = []
+        while not window:  # an rcs window may, however rarely, draw nothing
+            window = self.window()
+        self._channels = iter(window)
+        return next(self._channels)
 
 
 class DualModularClock(_Clock):
