@@ -18,7 +18,9 @@ RUNS = 150
 
 
 def replicate(protocol, termination, runs=RUNS):
+    """Records of the runs that finish; prints how many hit the safety cap."""
     records = []
+    capped = 0
     for r in range(runs):
         cfg = RunConfig(
             protocol=protocol, termination=termination,
@@ -30,7 +32,9 @@ def replicate(protocol, termination, runs=RUNS):
         try:
             records.append(run_once(cfg))
         except IncompleteRun:
-            pass  # hit the safety cap; excluded like the batch harness does
+            capped += 1  # excluded from the means, like the batch harness does
+    print(f"{protocol} {termination}: {capped} of {runs} runs hit the "
+          f"safety cap and are left out")
     return records
 
 

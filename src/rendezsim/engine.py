@@ -4,7 +4,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import compress
 from operator import eq, itemgetter
 
 from . import protocol as proto
@@ -107,47 +107,41 @@ class RunRecord:
         return sum(marks) / len(marks)
 
 
-def resolve_half_slot(attempts, occupancy, half_slot_index):
-    """Group attempting nodes by channel after PR deferral.
+def resolve_half_slot(meets, occupancy, half_slot_index):
+    """The meeting pairs that handshake in one half-slot, by (channel, i, j).
 
-    attempts maps node id -> channel in ascending node order; run_once
-    passes, in every half-slot, the nodes that share their usable channel
-    with an in-range neighbour, as only they can handshake. Nodes defer when
+    meets holds a (channel, i, j) tuple, i < j, for every in-range pair on a
+    channel both can use. The pairs that clear handshake_pairs defer when
     their channel is PR-busy at any point in the half-slot: a handshake needs
-    the channel for the whole exchange, so a primary arriving mid-way
-    disrupts it too. PR is asked once about each channel holding at least
-    two nodes and about no other; every channel has its own ON/OFF stream,
-    so which channels are asked changes no answer. With PR disabled nothing
-    is asked. Returns {channel: node list, ascending} for the idle channels
-    with at least two nodes.
+    the whole exchange, so a primary arriving mid-way disrupts it too. PR is
+    asked about the channel of each cleared pair and no other, or nothing
+    with PR off; as every channel has its own ON/OFF stream, which channels
+    are asked, and how often, changes no answer.
     """
-    groups = {}
-    for node, ch in attempts.items():
-        if ch in groups:
-            groups[ch].append(node)
-        else:
-            groups[ch] = [node]
-    if not occupancy.params.enabled:
-        return {ch: nodes for ch, nodes in groups.items() if len(nodes) >= 2}
-    busy = occupancy.busy_during
-    return {ch: nodes for ch, nodes in groups.items()
-            if len(nodes) >= 2 and not busy(ch, half_slot_index)}
+    if not meets:
+        return meets
+    pairs = handshake_pairs(meets)
+    if occupancy.params.enabled:
+        pairs = [pair for pair in pairs if not occupancy.busy_during(pair[0], half_slot_index)]
+    return sorted(pairs)
 
 
-def handshake_pairs(group, neighbour_sets):
-    """Handshaking pairs within one co-channel group.
+def handshake_pairs(meets):
+    """The meeting pairs whose two ends appear in no other meeting pair.
 
     A pair completes its three-way handshake only when neither endpoint hears
-    another co-channel node: a third group member within range of either one
-    collides with the exchange. Applied uniformly to every protocol.
+    another co-channel node. A node sits on one channel per half-slot, so a
+    third node on the pair's channel, able to use it and in range of an end,
+    meets that end too: counting each node's meeting pairs finds every
+    collision. Applied uniformly to every protocol.
     """
-    if len(group) == 2:
-        i, j = group
-        return [(i, j)] if j in neighbour_sets[i] else []
-    members = set(group)
-    degree = {i: len(neighbour_sets[i] & members) for i in group}
-    return [(i, j) for i, j in combinations(group, 2)
-            if degree[i] == 1 and degree[j] == 1 and j in neighbour_sets[i]]
+    if len(meets) < 2:
+        return meets
+    seen, shared = set(), set()
+    for _, i, j in meets:
+        shared |= seen & {i, j}
+        seen |= {i, j}
+    return [pair for pair in meets if pair[1] not in shared and pair[2] not in shared]
 
 
 class IncompleteRun(RuntimeError):
@@ -156,10 +150,9 @@ class IncompleteRun(RuntimeError):
 
 def _picker(indices):
     """A function taking a sequence to the tuple of its items at indices."""
-    if len(indices) == 1:
-        index, = indices  # itemgetter would return the bare item
-        return lambda seq: (seq[index],)
-    return itemgetter(*indices) if indices else lambda seq: ()
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)  # itemgetter(i) gives a bare item
 
 
 def deployment_key(cfg, topo_seed):
@@ -191,8 +184,10 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     stop marks.
 
     Each half-slot takes every node's channel, then compares the two ends
-    of every in-range pair at once; the pairs that meet on a channel both
-    can use are resolved, in (channel, i, j) order. The run ends after both
+    of every in-range pair at once. The pairs that meet on a channel both
+    can use, as (channel, i, j) tuples, are the half-slot's one list of
+    contacts: resolve_half_slot keeps those that neither collide nor defer
+    to PR, and they handshake in (channel, i, j) order. The run ends after both
     halves of the slot in which the last node gets its stop mark, or raises
     IncompleteRun when max_slots slots pass first.
 
@@ -226,9 +221,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
     states = [proto.NodeState(i, in_range[i]) for i in range(n)]
 
-    t_n1 = [None] * n
-    t_full = [None] * n
-    ptm_values = [None] * n  # filled at each node's stop mark
+    t_n1, t_full, ptm_values = [None] * n, [None] * n, [None] * n  # ptm set at stop marks
     run_to_full = cfg.termination == proto.RUN_TO_FULL
     pending = set(range(n))  # nodes still missing their stop mark
 
@@ -249,8 +242,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                 pending.discard(i)
                 ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
 
-    slot = 0
-    half_index = 0
+    slot = half_index = 0
     while pending:
         if slot >= cfg.max_slots:
             raise IncompleteRun(
@@ -264,36 +256,24 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                     trace.write(f"{slot} {half} {i} {c} select -\n")
             # a node can only transact on a channel in its usable set; blind
             # searchers that tuned elsewhere listen without effect
-            attempts = {}
-            for i, j in compress(edges, map(eq, firsts(selections), seconds(selections))):
-                ch = selections[i]
-                if ch in usable[i] and ch in usable[j]:
-                    attempts[i] = attempts[j] = ch
-            if len(attempts) > 2:
-                attempts = dict(sorted(attempts.items()))
-            groups = resolve_half_slot(attempts, occupancy, half_index)
+            met = compress(edges, map(eq, firsts(selections), seconds(selections)))
+            meets = [(ch, i, j) for i, j in met
+                     if (ch := selections[i]) in usable[i] and ch in usable[j]]
+            pairs = resolve_half_slot(meets, occupancy, half_index)
             half_index += 1
-            if not groups:
+            if not pairs:
                 continue
             touched = []
-            for ch in sorted(groups):
-                for i, j in handshake_pairs(groups[ch], neighbour_sets):
-                    proto.process_handshake(states[i], states[j])
-                    touched += (i, j)
-                    if trace is not None:
-                        trace.write(f"{slot} {half} {i} {ch} handshake peer={j}\n")
+            for ch, i, j in pairs:
+                proto.process_handshake(states[i], states[j])
+                touched += (i, j)
+                if trace is not None:
+                    trace.write(f"{slot} {half} {i} {ch} handshake peer={j}\n")
             tnow = half_index * 0.5
             for i in sorted(touched):
                 update_marks(i, tnow, slot, half)
         slot += 1
 
-    return RunRecord(
-        scenario=cfg.scenario_key(),
-        seed=cfg.seed,
-        slots_used=slot,
-        t_n1=t_n1,
-        t_full=t_full,
-        ptm=ptm_values,
-        ctm=ctm(ptm_values),
-        final_dnl=[frozenset(st.dnl) for st in states],
-    )
+    return RunRecord(scenario=cfg.scenario_key(), seed=cfg.seed, slots_used=slot,
+                     t_n1=t_n1, t_full=t_full, ptm=ptm_values, ctm=ctm(ptm_values),
+                     final_dnl=[frozenset(st.dnl) for st in states])

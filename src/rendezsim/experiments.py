@@ -220,13 +220,20 @@ def paper_grid(name, runs=None, master_seed=0):
     raise ValueError(f"unknown paper grid {name!r}; use baseline, controlled or scale")
 
 
+def _flag(text):
+    for value, words in ((True, ("1", "true", "yes")), (False, ("0", "false", "no"))):
+        if text.lower() in words:
+            return value
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+
+
 _LIST_KEYS = {
     "protocols": str, "terminations": str, "pr": str,
     "nodes": int, "channels": int, "similarity": int,
 }
 _SCALAR_KEYS = {
     "name": str, "runs": int, "seed": int,
-    "max_slots": int, "fix_topology": lambda v: v.lower() in ("1", "true", "yes"),
+    "max_slots": int, "fix_topology": _flag,
 }
 
 
@@ -234,8 +241,9 @@ def parse_grid_config(text):
     """Line-oriented `key = value` grid config with comma-separated lists.
 
     Keys: name, protocols, terminations, nodes, channels, similarity, pr,
-    runs, seed, max_slots, fix_topology. Lines starting with # are
-    comments.
+    runs, seed, max_slots, fix_topology (1/true/yes or 0/false/no, any
+    case). Lines starting with # are comments. A malformed line, an unknown
+    or repeated key, or a bad value raises a line-numbered ValueError.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,13 +254,16 @@ def parse_grid_config(text):
             raise ValueError(f"line {lineno}: expected `key = value`")
         key, _, val = line.partition("=")
         key, val = key.strip().lower(), val.strip()
-        if key in _LIST_KEYS:
-            conv = _LIST_KEYS[key]
-            values[key] = tuple(conv(v.strip()) for v in val.split(","))
-        elif key in _SCALAR_KEYS:
-            values[key] = _SCALAR_KEYS[key](val)
-        else:
+        conv = _LIST_KEYS.get(key) or _SCALAR_KEYS.get(key)
+        if conv is None:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        try:
+            values[key] = (tuple(conv(v.strip()) for v in val.split(","))
+                           if key in _LIST_KEYS else conv(val))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     missing = {"protocols", "terminations", "nodes", "channels",
                "similarity", "pr", "runs"} - set(values)
     if missing:

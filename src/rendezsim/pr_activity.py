@@ -55,10 +55,12 @@ class PrParams:
             return cls.off()
         if name == "high":
             return cls.high()
-        if ":" in name:
-            lx, ly = name.split(":")
-            return cls(lambda_x=float(lx), lambda_y=float(ly))
-        raise ValueError(f"unknown PR level {name!r}; use off, high or lx:ly")
+        try:
+            lx, ly = map(float, name.split(":"))
+        except ValueError:
+            raise ValueError(f"unknown PR level {name!r}; use off, high or "
+                             f"lambda_x:lambda_y with two numbers") from None
+        return cls(lambda_x=lx, lambda_y=ly)
 
     @property
     def name(self):

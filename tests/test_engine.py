@@ -1,4 +1,4 @@
-"""Simulation-loop tests: grouping, PR deferral, golden scenarios, determinism."""
+"""Simulation-loop tests: meeting pairs, collisions, PR deferral, golden runs, determinism."""
 
 import io
 
@@ -25,9 +25,6 @@ class StubOccupancy:
         self.params = params
         self.queries = []
 
-    def is_busy(self, channel, half_slot_index):
-        return channel in self.busy
-
     def busy_during(self, channel, half_slot_index):
         self.queries.append(channel)
         return channel in self.busy
@@ -49,36 +46,45 @@ def full_mesh_channels(n, pool=10):
 
 
 # --- half-slot resolution -------------------------------------------------
+# a half-slot's contacts are its meeting pairs: (channel, i, j), i < j, for
+# every in-range pair sitting on a channel both can use
 
 def test_pr_busy_channel_defers_all_attempts():
-    groups = resolve_half_slot({0: 4, 1: 4}, StubOccupancy(busy={4}), 0)
-    assert groups == {}
+    assert resolve_half_slot([(4, 0, 1)], StubOccupancy(busy={4}), 0) == []
 
 
-def test_idle_channel_groups_co_channel_nodes():
-    groups = resolve_half_slot({0: 4, 1: 4, 2: 7}, StubOccupancy(), 0)
-    assert groups == {4: [0, 1]}  # singleton channels dropped
+def test_meeting_pairs_on_idle_channels_handshake():
+    assert resolve_half_slot([(4, 0, 1), (7, 2, 3)], StubOccupancy(), 0) == [
+        (4, 0, 1), (7, 2, 3)]
 
 
 def test_mixed_busy_and_idle_channels():
-    groups = resolve_half_slot({0: 4, 1: 4, 2: 7, 3: 7}, StubOccupancy(busy={7}), 0)
-    assert groups == {4: [0, 1]}
+    occ = StubOccupancy(busy={7})
+    assert resolve_half_slot([(4, 0, 1), (7, 2, 3)], occ, 0) == [(4, 0, 1)]
 
 
-def test_pr_is_asked_only_about_channels_holding_an_in_range_pair(monkeypatch):
-    # resolve_half_slot asks once about each channel with two nodes or more
+def test_pairs_come_back_in_channel_then_node_order():
+    meets = [(9, 1, 8), (3, 5, 6), (9, 0, 7), (3, 2, 4), (1, 3, 9)]
+    assert resolve_half_slot(meets, StubOccupancy(), 0) == sorted(meets)
+    assert resolve_half_slot(meets, StubOccupancy(params=PrParams.off()), 0) == sorted(meets)
+
+
+def test_pr_is_asked_only_about_channels_of_cleared_pairs(monkeypatch):
+    # 0-1 and 1-2 collide at node 1 on channel 3, so channel 3 is not asked;
+    # the two disjoint pairs on channel 7 ask about it once each
     occ = StubOccupancy(busy={9})
-    groups = resolve_half_slot({0: 7, 1: 3, 2: 7, 3: 9, 4: 5, 5: 9, 6: 3}, occ, 0)
-    assert sorted(occ.queries) == [3, 7, 9]
-    assert groups == {7: [0, 2], 3: [1, 6]}
-    # and in a run, PR hears of exactly the (half-slot, channel) pairs where
-    # two in-range nodes sit on a channel both can use, once each
+    meets = [(3, 0, 1), (3, 1, 2), (7, 3, 4), (9, 5, 6), (7, 7, 8)]
+    assert resolve_half_slot(meets, occ, 0) == [(7, 3, 4), (7, 7, 8)]
+    assert sorted(occ.queries) == [7, 7, 9]
+    # and in a run, PR hears of exactly the (half-slot, channel) pairs of the
+    # meeting pairs that no third co-channel neighbour collides with, once
+    # per pair; a channel asked twice at one instant answers the same
     asked = []
     real = ChannelOccupancy.busy_during
 
     def busy_during(self, channel, half_slot_index):
-        asked.append((half_slot_index, channel))
-        return real(self, channel, half_slot_index)
+        asked.append((half_slot_index, channel, real(self, channel, half_slot_index)))
+        return asked[-1][2]
 
     monkeypatch.setattr(ChannelOccupancy, "busy_during", busy_during)
     n = 10
@@ -94,42 +100,60 @@ def test_pr_is_asked_only_about_channels_holding_an_in_range_pair(monkeypatch):
             slot, half, node, channel, event, _ = line.split(maxsplit=5)
             if event == "select":
                 selected[2 * int(slot) + int(half), int(node)] = int(channel)
-        expected = {(h, c) for (h, i), c in selected.items() if c in chans[i]
-                    for j in topo.dnl_star[i] if selected[h, j] == c and c in chans[j]}
-        assert len(asked) == len(set(asked)) and set(asked) == expected
-        assert expected
+
+        def co_channel(h, i):
+            c = selected[h, i]
+            return {j for j in topo.dnl_star[i] if c in chans[i]
+                    and selected[h, j] == c and c in chans[j]}
+
+        cleared = sorted((h, selected[h, i]) for (h, i) in selected
+                         for j in co_channel(h, i)
+                         if i < j and co_channel(h, i) == {j} and co_channel(h, j) == {i})
+        assert sorted((h, c) for h, c, _ in asked) == cleared
+        answers = {}
+        for h, c, busy in asked:
+            assert answers.setdefault((h, c), busy) == busy
+        assert cleared and len(answers) < len(asked)
 
 
 def test_disabled_pr_is_never_asked():
     occ = StubOccupancy(busy={4}, params=PrParams.off())
-    assert resolve_half_slot({0: 4, 1: 4, 2: 7}, occ, 0) == {4: [0, 1]}
+    assert resolve_half_slot([(4, 0, 1), (7, 2, 3)], occ, 0) == [(4, 0, 1), (7, 2, 3)]
     assert occ.queries == []
 
 
 def test_pair_group_handshakes_when_in_range():
-    assert handshake_pairs([0, 1], [{1}, {0}]) == [(0, 1)]
+    assert handshake_pairs([(4, 0, 1)]) == [(4, 0, 1)]
 
 
 def test_pair_group_out_of_range_does_not_handshake():
-    assert handshake_pairs([0, 1], [set(), set()]) == []
+    # the ends of a 180 m chain share channels often but are never in range,
+    # so they never form a meeting pair
+    buf = io.StringIO()
+    run_once(make_cfg(seed=11), topo=chain_topology(), chans=full_mesh_channels(3),
+             trace=buf)
+    selected = {}
+    for line in buf.getvalue().splitlines():
+        slot, half, node, channel, event, detail = line.split(maxsplit=5)
+        if event == "select":
+            selected.setdefault((slot, half), {})[int(node)] = channel
+        assert (event, node, detail) != ("handshake", "0", "peer=2")
+    assert any(s[0] == s[2] for s in selected.values())
 
 
 def test_three_node_group_collides_at_the_shared_neighbour():
     # 0-1 and 1-2 in range, 0-2 not: both endpoints transmit to 1 in the same
     # half-slot, so neither three-way handshake completes
-    neigh = [{1}, {0, 2}, {1}]
-    assert handshake_pairs([0, 1, 2], neigh) == []
+    assert handshake_pairs([(4, 0, 1), (4, 1, 2)]) == []
 
 
 def test_disjoint_pairs_inside_a_group_both_handshake():
     # 0-1 and 2-3 are separate conversations on the same channel
-    neigh = [{1}, {0}, {3}, {2}]
-    assert handshake_pairs([0, 1, 2, 3], neigh) == [(0, 1), (2, 3)]
+    assert handshake_pairs([(4, 0, 1), (4, 2, 3)]) == [(4, 0, 1), (4, 2, 3)]
 
 
 def test_crowded_clique_blocks_everyone():
-    neigh = [{1, 2}, {0, 2}, {0, 1}]
-    assert handshake_pairs([0, 1, 2], neigh) == []
+    assert handshake_pairs([(4, 0, 1), (4, 0, 2), (4, 1, 2)]) == []
 
 
 # --- whole runs -------------------------------------------------------------

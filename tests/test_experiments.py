@@ -148,6 +148,10 @@ def test_parse_grid_config_roundtrip():
     assert grid.fix_topology
 
 
+GRID_TEXT = ("protocols = mrdmca\nterminations = controlled\nnodes = 3\n"
+             "channels = 10\nsimilarity = 5\npr = off\nruns = 1\n")
+
+
 def test_parse_grid_config_errors():
     with pytest.raises(ValueError):
         parse_grid_config("protocols = rcs")  # missing keys
@@ -158,6 +162,15 @@ def test_parse_grid_config_errors():
     # the area scales with the range, so a grid-wide range changed nothing
     with pytest.raises(ValueError, match="unknown key 'range'"):
         parse_grid_config("range = 150")
+    # a misspelt flag used to read as false, and a repeated key kept the last
+    with pytest.raises(ValueError, match=r"line 8: fix_topology: expected 1/true/yes"):
+        parse_grid_config(GRID_TEXT + "fix_topology = ture\n")
+    with pytest.raises(ValueError, match="line 8: repeated key 'runs'"):
+        parse_grid_config(GRID_TEXT + "runs = 5\n")
+    with pytest.raises(ValueError, match="line 7: runs: invalid literal"):
+        parse_grid_config(GRID_TEXT.replace("runs = 1", "runs = many"))
+    for word, flag in (("YES", True), ("1", True), ("No", False), ("false", False)):
+        assert parse_grid_config(GRID_TEXT + f"fix_topology = {word}\n").fix_topology is flag
 
 
 # --- CLI end to end ---------------------------------------------------------
@@ -309,6 +322,20 @@ def test_cli_rejects_non_finite_pr_rates_in_one_line(tmp_path, capsys):
     for level in ("nan:1", "inf:1"):
         assert main(_with(RUN_ARGS, "--pr", level) + ["--out", str(out)]) == 2
         assert "PR rates must be finite" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_cli_rejects_malformed_pr_rates_and_grid_lines_in_one_line(tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    for level in ("1:2:3", ":", "a:b"):
+        assert main(_with(RUN_ARGS, "--pr", level) + ["--out", str(out)]) == 2
+        assert "lambda_x:lambda_y" in _one_error_line(capsys)
+    cfg = tmp_path / "grid.txt"
+    for extra, error in (("fix_topology = ture", "line 8: fix_topology: expected"),
+                         ("runs = 5", "line 8: repeated key 'runs'")):
+        cfg.write_text(GRID_TEXT + extra + "\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert _one_error_line(capsys).startswith(f"rendezsim: {error}")
     assert not out.exists()
 
 

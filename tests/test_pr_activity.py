@@ -46,6 +46,9 @@ def test_invalid_rates_rejected():
             PrParams(lambda_x=lx, lambda_y=ly)
     with pytest.raises(ValueError, match="finite"):
         PrParams.from_name("nan:1")
+    for name in ("1:2:3", ":", "a:b", "2"):
+        with pytest.raises(ValueError, match="lambda_x:lambda_y"):
+            PrParams.from_name(name)
 
 
 def test_empirical_busy_fraction_matches_stationary_value():

@@ -3,15 +3,18 @@
 `reference_run_once` is the former engine loop, kept here as an oracle: every
 half-slot it takes one channel from every clock, keeps the attempts on usable
 channels, groups them by channel in node order, asks PR about every attempted
-channel (singletons included), and resolves each idle group with
-`handshake_pairs`. `run_once` instead compares the two ends of every in-range
-pair and resolves only the nodes of pairs that meet on a channel both can
-use, so PR hears of fewer channels; the two must agree on every record,
-every trace line and every capped run.
+channel (singletons included), and resolves each idle group with its own
+group-based collision rule, `reference_pairs`: a pair handshakes when each
+end has exactly one in-range neighbour in the group. `run_once` instead keeps
+one list of the in-range pairs that meet on a channel both can use, drops
+every pair with an end in another meeting pair, and asks PR only about the
+channels of the pairs left, so PR hears of fewer channels; the two must agree
+on every record, every trace line and every capped run.
 """
 
 import io
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +25,6 @@ from rendezsim.engine import (
     RunRecord,
     _deployment,
     deployment_key,
-    handshake_pairs,
     run_once,
 )
 from rendezsim.hopping import PROTOCOLS, make_clock
@@ -40,6 +42,14 @@ def reference_resolve(attempts, occupancy, half_slot_index):
         return {ch: nodes for ch, nodes in groups.items() if len(nodes) >= 2}
     busy = {ch: occupancy.busy_during(ch, half_slot_index) for ch in groups}
     return {ch: nodes for ch, nodes in groups.items() if not busy[ch] and len(nodes) >= 2}
+
+
+def reference_pairs(group, neighbour_sets):
+    """Pairs of one co-channel group whose ends hear no other group member."""
+    members = set(group)
+    degree = {i: len(neighbour_sets[i] & members) for i in group}
+    return [(i, j) for i, j in combinations(group, 2)
+            if degree[i] == 1 and degree[j] == 1 and j in neighbour_sets[i]]
 
 
 def reference_run_once(cfg, topo=None, chans=None, trace=None):
@@ -102,7 +112,7 @@ def reference_run_once(cfg, topo=None, chans=None, trace=None):
             groups = reference_resolve(attempts, occupancy, half_index)
             touched = set()
             for ch in sorted(groups):
-                for i, j in handshake_pairs(groups[ch], neighbour_sets):
+                for i, j in reference_pairs(groups[ch], neighbour_sets):
                     proto.process_handshake(states[i], states[j])
                     touched.add(i)
                     touched.add(j)
