@@ -16,27 +16,6 @@ from .protocol import TERMINATION_MODES
 from .topology import DeploymentError
 
 
-def _add_cell_args(p):
-    p.add_argument("--protocol", required=True, choices=PROTOCOLS)
-    p.add_argument("--termination", required=True, choices=TERMINATION_MODES)
-    p.add_argument("--nodes", required=True, type=int)
-    p.add_argument("--channels", required=True, type=int)
-    p.add_argument("--similarity", required=True, type=int)
-    p.add_argument("--pr", required=True,
-                   help="PR activity: off, high, or lambda_x:lambda_y")
-
-
-def _add_common_args(p):
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="aggregate CSV path (default stdout)")
-    p.add_argument("--runs-out", default=None, help="optional per-run CSV path")
-    p.add_argument("--trace", default=None, help="per-run event trace path")
-    p.add_argument("--fix-topology", action="store_true",
-                   help="reuse deployments across cells for matched comparisons")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rendezsim",
@@ -45,25 +24,34 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario cell")
-    _add_cell_args(p_run)
-    _add_common_args(p_run)
+    p_run.add_argument("--protocol", required=True, choices=PROTOCOLS)
+    p_run.add_argument("--termination", required=True, choices=TERMINATION_MODES)
+    p_run.add_argument("--nodes", required=True, type=int)
+    p_run.add_argument("--channels", required=True, type=int)
+    p_run.add_argument("--similarity", required=True, type=int)
+    p_run.add_argument("--pr", required=True,
+                       help="PR activity: off, high, or lambda_x:lambda_y (rates at most 1000)")
+    p_run.add_argument("--runs", type=int, default=100)
+    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--trace", default=None, help="per-run event trace path")
+    p_run.add_argument("--fix-topology", action="store_true",
+                       help="reuse deployments across cells for matched comparisons")
 
     p_sweep = sub.add_parser("sweep", help="run a grid from a config file")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--seed", type=int, default=None,
                          help="override the config's master seed")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--runs-out", default=None)
 
     p_paper = sub.add_parser("paper", help="run a built-in evaluation grid")
     p_paper.add_argument("grid", choices=("baseline", "controlled", "scale"))
     p_paper.add_argument("--runs", type=int, default=None,
                          help="replications per cell (default 1000)")
     p_paper.add_argument("--seed", type=int, default=0)
-    p_paper.add_argument("--workers", type=int, default=1)
-    p_paper.add_argument("--out", default=None)
-    p_paper.add_argument("--runs-out", default=None)
+
+    for p in (p_run, p_sweep, p_paper):
+        p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
+        p.add_argument("--out", default=None, help="aggregate CSV path (default stdout)")
+        p.add_argument("--runs-out", default=None, help="optional per-run CSV path")
 
     p_audit = sub.add_parser("audit", help="replay a per-run CSV and re-verify it")
     p_audit.add_argument("csv", help="per-run CSV produced with --runs-out")
@@ -77,7 +65,7 @@ def _emit(args, result):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "runs_out", None):
+    if args.runs_out:
         with open(args.runs_out, "w", newline="") as fh:
             fh.write(runs_csv(result))
 
@@ -107,13 +95,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_paper(args):
-    parts = [run_grid(g, workers=args.workers)
-             for g in paper_grid(args.grid, runs=args.runs, master_seed=args.seed)]
-    merged = parts[0]
-    for extra in parts[1:]:
+    merged, *extras = [run_grid(g, workers=args.workers)
+                       for g in paper_grid(args.grid, runs=args.runs, master_seed=args.seed)]
+    for extra in extras:
         merged.aggregate_rows.extend(extra.aggregate_rows)
         merged.run_rows.extend(extra.run_rows)
-        merged.incomplete += extra.incomplete
     _emit(args, merged)
     return 0
 

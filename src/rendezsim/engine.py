@@ -17,8 +17,8 @@ DEFAULT_MAX_SLOTS = 50_000
 DEFAULT_RANGE_M = 100.0
 
 
-def default_area_side(n_nodes, range_m=DEFAULT_RANGE_M):
-    """Square side for the default deployment area.
+def default_area_side(n_nodes):
+    """Square side of the deployment area for n_nodes, at DEFAULT_RANGE_M.
 
     Grows superlinearly for small networks (keeping a 3-node deployment dense
     enough to be mostly triangles) and switches to a square-root law past ten
@@ -27,19 +27,19 @@ def default_area_side(n_nodes, range_m=DEFAULT_RANGE_M):
     steeply dearer with N: roughly 10 attempts per deploy at N=10, 100 at
     N=20 and 2 000 at N=30, and at N=50 most deploys exhaust the attempt cap.
     """
-    return range_m * min(0.5 * n_nodes ** 0.8, 0.99 * math.sqrt(n_nodes))
+    return DEFAULT_RANGE_M * min(0.5 * n_nodes ** 0.8, 0.99 * math.sqrt(n_nodes))
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One cell and one replication's seeds; n_nodes sets the geometry (see _deployment)."""
+
     protocol: str
     termination: str
     n_nodes: int
     pool_size: int
     similarity: int
     pr: PrParams
-    range_m: float = DEFAULT_RANGE_M
-    area: tuple = None          # (width, height); None = auto from n_nodes
     max_slots: int = DEFAULT_MAX_SLOTS
     seed: int = 0
     topo_seed: int = None       # None = derive from seed
@@ -52,9 +52,6 @@ class RunConfig:
             raise ValueError(f"unknown termination mode {self.termination!r}")
         if self.max_slots <= 0:
             raise ValueError("max_slots must be positive")
-        if self.area is None:
-            side = default_area_side(self.n_nodes, self.range_m)
-            object.__setattr__(self, "area", (side, side))
 
     @property
     def validate_coords(self):
@@ -66,7 +63,7 @@ class RunConfig:
 
     def scenario_key(self):
         return (self.protocol, self.termination, self.n_nodes, self.pool_size,
-                self.similarity, self.pr.name, self.range_m, self.area)
+                self.similarity, self.pr.name)
 
 
 @dataclass
@@ -155,33 +152,27 @@ def _picker(indices):
     return lambda seq: tuple(seq[i] for i in indices)  # itemgetter(i) gives a bare item
 
 
-def deployment_key(cfg, topo_seed):
-    """The arguments of cfg's deploy call: (n_nodes, area, range_m, topo_seed).
-
-    run_once keeps only its latest deployment, so a sequence of runs deploys
-    once per stretch of equal keys; ordering runs by this key makes the runs
-    that share a deployment adjacent (see experiments._run_configs).
-    """
-    return (cfg.n_nodes, tuple(cfg.area), cfg.range_m, topo_seed)
-
-
 @lru_cache(maxsize=1)
-def _deployment(n_nodes, area, range_m, topo_seed):
-    # deploy is pure and its result immutable, so consecutive runs with equal
-    # deployment keys can share one; a single entry keeps memory flat
-    return deploy(n_nodes, area, range_m, topo_seed)
+def _deployment(n_nodes, topo_seed):
+    """deploy in a default_area_side(n_nodes) square at DEFAULT_RANGE_M.
+
+    deploy is pure and its result immutable, so runs with equal arguments
+    share one; keeping only the latest keeps memory flat, and runs sorted by
+    (n_nodes, topo_seed) deploy once per key (see experiments._run_configs).
+    """
+    side = default_area_side(n_nodes)
+    return deploy(n_nodes, (side, side), DEFAULT_RANGE_M, topo_seed)
 
 
 def run_once(cfg, topo=None, chans=None, trace=None):
     """Simulate one replication; deterministic given cfg and its seeds.
 
     topo/chans may be supplied to replay a fixed deployment; otherwise they
-    are drawn from seeds derived from cfg. The latest deployment is kept
-    until a run asks for another (see deployment_key), so consecutive runs
-    that share one deploy it once. trace, when given, is a writable text
-    stream receiving `slot half node channel event detail` lines: every
-    node's selection in every half-slot, then that half-slot's handshakes and
-    stop marks.
+    are drawn from seeds derived from cfg, the deployment by _deployment, so
+    consecutive runs that share one deploy it once. trace, when given, is a
+    writable text stream receiving `slot half node channel event detail`
+    lines: every node's selection in every half-slot, then that half-slot's
+    handshakes and stop marks.
 
     Each half-slot takes every node's channel, then compares the two ends
     of every in-range pair at once. The pairs that meet on a channel both
@@ -202,7 +193,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     clock_seed = master.getrandbits(63)
 
     if topo is None:
-        topo = _deployment(*deployment_key(cfg, topo_seed))
+        topo = _deployment(cfg.n_nodes, topo_seed)
     if chans is None:
         chans = assign_channels(cfg.n_nodes, cfg.pool_size, cfg.similarity, chan_seed)
     n = cfg.n_nodes

@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 from itertools import product
 
-from .engine import RunConfig, run_once, deployment_key, IncompleteRun, DEFAULT_MAX_SLOTS
+from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS, DEFAULT_RANGE_M
 from .hopping import PROTOCOLS
 from .metrics import aggregate, aggregate_row, AGGREGATE_COLUMNS, fmt
 from .pr_activity import PrParams
@@ -64,8 +64,9 @@ def _run_configs(grid):
     Seeds derive from (master_seed, cell_index, run_index). With fix_topology
     the deployment and channel seeds depend only on fields shared across
     protocols and PR levels, so run k sees identical inputs in every cell;
-    the items are then ordered by engine.deployment_key, cells in order
-    within each key.
+    the items are then ordered by engine._deployment's key (n_nodes,
+    topo_seed), cells in order within each key. DEFAULT_RANGE_M stays among
+    the topology seed's parts, which keeps every seed unchanged.
     """
     items = []
     for cell_index, cfg in grid.cells():
@@ -74,23 +75,22 @@ def _run_configs(grid):
             kwargs = {"seed": seed}
             if grid.fix_topology:
                 kwargs["topo_seed"] = derive_seed(
-                    grid.master_seed, "topo", cfg.n_nodes, cfg.range_m, run_index)
+                    grid.master_seed, "topo", cfg.n_nodes, DEFAULT_RANGE_M, run_index)
                 kwargs["chan_seed"] = derive_seed(
                     grid.master_seed, "chan", cfg.n_nodes, cfg.pool_size,
                     cfg.similarity, run_index)
             items.append((cell_index, run_index, replace(cfg, **kwargs)))
     if grid.fix_topology:
-        items.sort(key=lambda item: deployment_key(item[2], item[2].topo_seed))
+        items.sort(key=lambda item: (item[2].n_nodes, item[2].topo_seed))
     return items
 
 
 def _execute(item):
-    cell_index, run_index, cfg = item
+    """item + (record,), or item + (None,) for a run that hit the safety cap."""
     try:
-        record = run_once(cfg)
-        return cell_index, run_index, cfg, record, None
-    except IncompleteRun as exc:
-        return cell_index, run_index, cfg, None, str(exc)
+        return item + (run_once(item[2]),)
+    except IncompleteRun:
+        return item + (None,)
 
 
 def run_row(scenario, run_index, cfg, record):
@@ -110,10 +110,16 @@ def run_row(scenario, run_index, cfg, record):
 
 @dataclass
 class GridResult:
+    """Per-run rows in (cell, run) order and aggregate rows; merging extends both."""
+
     grid: ScenarioGrid
-    run_rows: list            # per-run CSV rows in (cell, run) order
+    run_rows: list
     aggregate_rows: list
-    incomplete: int
+
+    @property
+    def incomplete(self):
+        """The number of runs that hit the safety cap (rows flagged so)."""
+        return sum(row[-1] == "incomplete" for row in self.run_rows)
 
 
 def run_grid(grid, workers=1, trace=None):
@@ -123,14 +129,18 @@ def run_grid(grid, workers=1, trace=None):
     trace of replication 0 of cell 0 (see engine.run_once). That replication
     runs first, in this process, as the one whose row is written; if it hits
     the safety cap, IncompleteRun propagates instead of flagging the row, so
-    a trace that was asked for never ends silently.
+    a trace that was asked for never ends silently. workers below 1 raise
+    ValueError, and no more processes start than there are runs left.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     items = _run_configs(grid)
     results = []
     if trace is not None:
         first = min(items, key=lambda item: item[:2])
         items.remove(first)
-        results.append(first + (run_once(first[2], trace=trace), None))
+        results.append(first + (run_once(first[2], trace=trace),))
+    workers = min(workers, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results += pool.map(_execute, items, chunksize=16)
@@ -140,12 +150,9 @@ def run_grid(grid, workers=1, trace=None):
 
     cell_records = {}
     run_rows = []
-    incomplete = 0
-    for cell_index, run_index, cfg, record, error in results:
+    for cell_index, run_index, cfg, record in results:
         run_rows.append(run_row(grid.name, run_index, cfg, record))
-        if record is None:
-            incomplete += 1
-        else:
+        if record is not None:
             cell_records.setdefault(cell_index, []).append(record)
 
     aggregate_rows = []
@@ -154,8 +161,7 @@ def run_grid(grid, workers=1, trace=None):
         if not records:
             continue
         aggregate_rows.append(aggregate_row(grid.name, cfg, aggregate(records)))
-    return GridResult(grid=grid, run_rows=run_rows,
-                      aggregate_rows=aggregate_rows, incomplete=incomplete)
+    return GridResult(grid=grid, run_rows=run_rows, aggregate_rows=aggregate_rows)
 
 
 def _csv_text(columns, rows, result):
@@ -189,34 +195,19 @@ BASELINE_PROTOCOLS = ("rcs", "mca", "emca", "mdmca")
 def paper_grid(name, runs=None, master_seed=0):
     """Built-in grids mirroring the two evaluation scenarios and the
     scalability study; runs defaults to 1000 replications per cell."""
-    runs = 1000 if runs is None else runs
+    grid = ScenarioGrid(name=name, protocols=PROTOCOLS, terminations=("controlled",),
+                        n_values=(3, 10), c_values=(10,), m_values=(2, 5),
+                        pr_levels=("off", "high"), runs=1000 if runs is None else runs,
+                        master_seed=master_seed, fix_topology=True)
     if name == "baseline":
         # conventional protocols stop at N-1; mrdmca uses controlled stop,
         # measured as two sub-grids merged by the caller
-        return (
-            ScenarioGrid(name="baseline", protocols=BASELINE_PROTOCOLS,
-                         terminations=("baseline",), n_values=(3, 10),
-                         c_values=(10,), m_values=(2, 5),
-                         pr_levels=("off", "high"), runs=runs,
-                         master_seed=master_seed, fix_topology=True),
-            ScenarioGrid(name="baseline", protocols=("mrdmca",),
-                         terminations=("controlled",), n_values=(3, 10),
-                         c_values=(10,), m_values=(2, 5),
-                         pr_levels=("off", "high"), runs=runs,
-                         master_seed=master_seed, fix_topology=True),
-        )
+        return (replace(grid, protocols=BASELINE_PROTOCOLS, terminations=("baseline",)),
+                replace(grid, protocols=("mrdmca",)))
     if name == "controlled":
-        return (ScenarioGrid(name="controlled", protocols=PROTOCOLS,
-                             terminations=("controlled",), n_values=(3, 10),
-                             c_values=(10,), m_values=(2, 5),
-                             pr_levels=("off", "high"), runs=runs,
-                             master_seed=master_seed, fix_topology=True),)
+        return (grid,)
     if name == "scale":
-        return (ScenarioGrid(name="scale", protocols=PROTOCOLS,
-                             terminations=("controlled",), n_values=(20,),
-                             c_values=(20,), m_values=(2, 5),
-                             pr_levels=("off", "high"), runs=runs,
-                             master_seed=master_seed, fix_topology=True),)
+        return (replace(grid, n_values=(20,), c_values=(20,)),)
     raise ValueError(f"unknown paper grid {name!r}; use baseline, controlled or scale")
 
 
@@ -231,8 +222,16 @@ _LIST_KEYS = {
     "protocols": str, "terminations": str, "pr": str,
     "nodes": int, "channels": int, "similarity": int,
 }
+def _grid_name(text):
+    # the name is the first cell of every per-run row, so a comma shifts
+    # the row's columns and a leading # turns the row into a comment
+    if "," in text or text.startswith("#"):
+        raise ValueError(f"must not contain a comma or start with #, got {text!r}")
+    return text
+
+
 _SCALAR_KEYS = {
-    "name": str, "runs": int, "seed": int,
+    "name": _grid_name, "runs": int, "seed": int,
     "max_slots": int, "fix_topology": _flag,
 }
 
@@ -243,7 +242,8 @@ def parse_grid_config(text):
     Keys: name, protocols, terminations, nodes, channels, similarity, pr,
     runs, seed, max_slots, fix_topology (1/true/yes or 0/false/no, any
     case). Lines starting with # are comments. A malformed line, an unknown
-    or repeated key, or a bad value raises a line-numbered ValueError.
+    or repeated key, or a bad value, such as a name with a comma or a
+    leading #, raises a line-numbered ValueError.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

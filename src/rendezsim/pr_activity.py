@@ -8,6 +8,9 @@ from dataclasses import dataclass
 # giving a stationary busy fraction of 0.85.
 HIGH_MEAN_ON = 8.5
 HIGH_MEAN_OFF = 1.5
+# Largest accepted rate, per slot. The sampler steps through every sojourn, so
+# a half-slot query grows with the rate: 0.4 ms at 1e3, 272 ms at 1e6 (2 vCPU).
+MAX_RATE = 1000.0
 
 
 @dataclass(frozen=True)
@@ -15,8 +18,9 @@ class PrParams:
     """Rates of the ON/OFF renewal process, in 1/slots.
 
     lambda_x drives OFF->ON (mean OFF duration 1/lambda_x); lambda_y drives
-    ON->OFF (mean ON duration 1/lambda_y); both must be finite and positive.
-    With enabled=False every channel is permanently idle.
+    ON->OFF (mean ON duration 1/lambda_y); both must be strictly positive
+    and at most MAX_RATE, so a mean sojourn is at least a thousandth of a
+    slot. With enabled=False every channel is permanently idle.
     """
 
     lambda_x: float = 1.0
@@ -24,10 +28,11 @@ class PrParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.enabled and not all(math.isfinite(rate) and rate > 0
+        # a nan or inf rate fails the comparison too
+        if self.enabled and not all(0 < rate <= MAX_RATE
                                     for rate in (self.lambda_x, self.lambda_y)):
-            raise ValueError(f"PR rates must be finite and strictly positive, "
-                             f"got {self.lambda_x}:{self.lambda_y}")
+            raise ValueError(f"PR rates must be finite, strictly positive and at most "
+                             f"{MAX_RATE:g} per slot, got {self.lambda_x}:{self.lambda_y}")
 
     @property
     def utilization(self):

@@ -159,7 +159,7 @@ def test_crowded_clique_blocks_everyone():
 # --- whole runs -------------------------------------------------------------
 
 def test_two_node_run_terminates_with_full_tables():
-    cfg = make_cfg(n_nodes=2, area=(10.0, 10.0), seed=3)
+    cfg = make_cfg(n_nodes=2, seed=3)
     rec = run_once(cfg)
     assert rec.ctm == 100.0
     assert rec.final_dnl == [frozenset({1}), frozenset({0})]
@@ -272,7 +272,7 @@ def test_safety_cap_raises_incomplete_run():
 
 def test_trace_records_selections_and_handshakes():
     buf = io.StringIO()
-    cfg = make_cfg(n_nodes=2, area=(10.0, 10.0), seed=3)
+    cfg = make_cfg(n_nodes=2, seed=3)
     run_once(cfg, trace=buf)
     lines = buf.getvalue().splitlines()
     kinds = {line.split()[4] for line in lines}
@@ -298,4 +298,3 @@ def test_validation_flag_follows_protocol_and_policy():
 def test_default_area_grows_with_network_size():
     sides = [default_area_side(n) for n in (2, 3, 5, 10, 20, 50)]
     assert sides == sorted(sides)
-    assert default_area_side(10, 50.0) == pytest.approx(default_area_side(10, 100.0) / 2)

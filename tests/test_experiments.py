@@ -1,5 +1,6 @@
 """Batch harness and CLI tests: seeding, grids, CSV emission, audit replay."""
 
+import io
 import subprocess
 import sys
 from dataclasses import replace
@@ -56,6 +57,33 @@ def test_worker_count_does_not_change_results():
     parallel = run_grid(SMALL_GRID, workers=3)
     assert aggregate_csv(serial) == aggregate_csv(parallel)
     assert runs_csv(serial) == runs_csv(parallel)
+
+
+def test_worker_pool_never_outnumbers_the_runs(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """ProcessPoolExecutor stand-in that records its size and starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    grid = replace(SMALL_GRID, runs=1)              # two cells, one run each
+    result = run_grid(grid, workers=16)
+    assert sizes == [2]
+    assert runs_csv(result) == runs_csv(run_grid(grid))
+    run_grid(grid, workers=16, trace=io.StringIO())  # one run left: no pool
+    assert sizes == [2]
 
 
 def test_fixed_topology_shares_deployments_across_cells():
@@ -124,6 +152,11 @@ def test_paper_grids_are_wired():
     assert scale.n_values == (20,) and scale.c_values == (20,)
     with pytest.raises(ValueError):
         paper_grid("imaginary")
+    # every field of every grid, as each was once spelled out in full
+    hashes = {name: [g.grid_hash() for g in paper_grid(name, runs=None, master_seed=0)]
+              for name in ("baseline", "controlled", "scale")}
+    assert hashes == {"baseline": ["2492f8253a0dd764", "04e426ed4e2da716"],
+                      "controlled": ["8912a093483302ed"], "scale": ["c374d35823ac24ce"]}
 
 
 def test_parse_grid_config_roundtrip():
@@ -159,7 +192,7 @@ def test_parse_grid_config_errors():
         parse_grid_config("nonsense line")
     with pytest.raises(ValueError):
         parse_grid_config("colour = blue")
-    # the area scales with the range, so a grid-wide range changed nothing
+    # the range is a fixed 100 m, not a grid setting
     with pytest.raises(ValueError, match="unknown key 'range'"):
         parse_grid_config("range = 150")
     # a misspelt flag used to read as false, and a repeated key kept the last
@@ -169,6 +202,10 @@ def test_parse_grid_config_errors():
         parse_grid_config(GRID_TEXT + "runs = 5\n")
     with pytest.raises(ValueError, match="line 7: runs: invalid literal"):
         parse_grid_config(GRID_TEXT.replace("runs = 1", "runs = many"))
+    # the name is the first cell of every per-run row
+    for name in ("x,y", "#x"):
+        with pytest.raises(ValueError, match="line 8: name: must not contain a comma"):
+            parse_grid_config(GRID_TEXT + f"name = {name}\n")
     for word, flag in (("YES", True), ("1", True), ("No", False), ("false", False)):
         assert parse_grid_config(GRID_TEXT + f"fix_topology = {word}\n").fix_topology is flag
 
@@ -247,6 +284,26 @@ def test_cli_paper_smoke_grid(tmp_path):
     assert len(body) == 1 + 5 * 8
 
 
+def test_cli_paper_counts_capped_runs_of_both_sub_grids(tmp_path, monkeypatch):
+    real = experiments.run_once
+
+    def capped(cfg, trace=None):
+        # one cell of each sub-grid: rcs under baseline stop, mrdmca controlled
+        if (cfg.protocol in ("rcs", "mrdmca") and cfg.n_nodes == 3
+                and cfg.similarity == 2 and cfg.pr.name == "off"):
+            raise IncompleteRun("safety cap reached")
+        return real(cfg, trace=trace)
+
+    monkeypatch.setattr(experiments, "run_once", capped)
+    out, runs_out = tmp_path / "paper.csv", tmp_path / "runs.csv"
+    assert main(["paper", "baseline", "--runs", "1", "--out", str(out),
+                 "--runs-out", str(runs_out)]) == 0
+    for path in (out, runs_out):
+        assert "# incomplete_runs=2 (" in path.read_text()
+    flagged = [l for l in runs_out.read_text().splitlines() if l.endswith(",incomplete")]
+    assert [l.split(",")[1] for l in flagged] == ["rcs", "mrdmca"]
+
+
 def test_cli_rejects_bad_input(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "missing.txt")])
     assert rc == 2
@@ -319,7 +376,7 @@ def _with(args, flag, value):
 
 def test_cli_rejects_non_finite_pr_rates_in_one_line(tmp_path, capsys):
     out = tmp_path / "agg.csv"
-    for level in ("nan:1", "inf:1"):
+    for level in ("nan:1", "inf:1", "1e308:1e308", "1001:1"):
         assert main(_with(RUN_ARGS, "--pr", level) + ["--out", str(out)]) == 2
         assert "PR rates must be finite" in _one_error_line(capsys)
     assert not out.exists()
@@ -332,10 +389,21 @@ def test_cli_rejects_malformed_pr_rates_and_grid_lines_in_one_line(tmp_path, cap
         assert "lambda_x:lambda_y" in _one_error_line(capsys)
     cfg = tmp_path / "grid.txt"
     for extra, error in (("fix_topology = ture", "line 8: fix_topology: expected"),
-                         ("runs = 5", "line 8: repeated key 'runs'")):
+                         ("runs = 5", "line 8: repeated key 'runs'"),
+                         ("name = x,y", "line 8: name: must not contain a comma")):
         cfg.write_text(GRID_TEXT + extra + "\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert _one_error_line(capsys).startswith(f"rendezsim: {error}")
+    assert not out.exists()
+
+
+def test_cli_rejects_workers_below_one_in_one_line(tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    for command in (RUN_ARGS, ["paper", "scale", "--runs", "1"]):
+        for workers in ("0", "-2"):
+            assert main(command + ["--workers", workers, "--out", str(out)]) == 2
+            assert _one_error_line(capsys) == (
+                f"rendezsim: workers must be at least 1, got {workers}\n")
     assert not out.exists()
 
 

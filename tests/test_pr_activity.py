@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rendezsim.pr_activity import ChannelOccupancy, PrParams
+from rendezsim.pr_activity import MAX_RATE, ChannelOccupancy, PrParams
 
 
 def test_disabled_process_is_never_busy():
@@ -49,6 +49,14 @@ def test_invalid_rates_rejected():
     for name in ("1:2:3", ":", "a:b", "2"):
         with pytest.raises(ValueError, match="lambda_x:lambda_y"):
             PrParams.from_name(name)
+    # past MAX_RATE a query steps through ever more sojourns: at 1e308 the
+    # first one is sub-normal and the run never ends
+    for lx, ly in ((1e308, 1e308), (MAX_RATE * 1.001, 1.0), (1.0, 1e4)):
+        with pytest.raises(ValueError, match="at most 1000 per slot"):
+            PrParams(lambda_x=lx, lambda_y=ly)
+    with pytest.raises(ValueError, match="at most 1000 per slot"):
+        PrParams.from_name("1e308:1e308")
+    assert PrParams(MAX_RATE, MAX_RATE).utilization == 0.5
 
 
 def test_empirical_busy_fraction_matches_stationary_value():

@@ -24,7 +24,6 @@ from rendezsim.engine import (
     RunConfig,
     RunRecord,
     _deployment,
-    deployment_key,
     run_once,
 )
 from rendezsim.hopping import PROTOCOLS, make_clock
@@ -60,7 +59,7 @@ def reference_run_once(cfg, topo=None, chans=None, trace=None):
     occ_seed = master.getrandbits(63)
     clock_seed = master.getrandbits(63)
     if topo is None:
-        topo = _deployment(*deployment_key(cfg, topo_seed))
+        topo = _deployment(cfg.n_nodes, topo_seed)
     if chans is None:
         chans = assign_channels(cfg.n_nodes, cfg.pool_size, cfg.similarity, chan_seed)
     n = cfg.n_nodes
