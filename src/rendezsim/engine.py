@@ -50,6 +50,8 @@ class RunConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.termination not in proto.TERMINATION_MODES:
             raise ValueError(f"unknown termination mode {self.termination!r}")
+        if self.n_nodes < 2:
+            raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
         if self.max_slots <= 0:
             raise ValueError("max_slots must be positive")
 
@@ -71,8 +73,8 @@ class RunRecord:
     """Timing marks and correctness of one replication.
 
     Times are in slots at half-slot resolution (multiples of 0.5). t_n1 is the
-    first time |DNL u INL| = N-1 held; t_full the first time that condition
-    held with DNL equal to ground truth. ptm/ctm are taken on the DNL frozen
+    first time the N-1 rule held (`check_termination`); t_full the first time
+    it held with DNL equal to ground truth. ptm/ctm are taken on the DNL frozen
     at each node's stop mark (t_n1, or t_full under run_to_full).
 
     A stopped node keeps serving until the run ends (see run_once), so

@@ -1,13 +1,16 @@
-"""Per-node rendezvous state: neighbour tables, handshake, the N-1 rule.
+"""Per-node rendezvous state: two sets, the handshake, the N-1 rule.
 
-The three tables are plain sets of node ids, kept pairwise disjoint and never
-containing the owner. DNL (verified) membership comes only from a completed
-direct handshake. Everything else a node hears is gossip and is sorted by one
-rule: gossiped nodes in the node's in-range set go to IDN (handshake pending)
-and the rest to INL (indirect). A node without coordinate validation can
-confirm nothing as in range, so its in-range set is empty and all gossip goes
-to INL, which is exactly the classification that makes N-1 termination
-premature.
+A node keeps two sets of node ids: `known`, every node it has heard of
+(itself included), and `dnl`, the peers it verified by a completed direct
+handshake. The paper's other two tables are views of these and the node's
+fixed in-range set:
+
+    IDN (handshake pending) = known & in_range - dnl
+    INL (indirect)          = known - dnl - in_range - {node_id}
+
+A node without coordinate validation can confirm nothing as in range, so its
+in-range set is empty and everything it hears but has not verified is INL,
+which is exactly the classification that makes N-1 termination premature.
 
 Every stopping policy uses the same N-1 rule (`check_termination`); the
 controlled policy is that rule under coordinate validation, where a pending
@@ -24,7 +27,7 @@ TERMINATION_MODES = (BASELINE, CONTROLLED, RUN_TO_FULL)
 
 
 class NodeState:
-    """Neighbour tables of one node.
+    """What one node has heard of (`known`) and verified (`dnl`).
 
     in_range is the set of gossiped nodes the owner can confirm to be within
     transmission range. With coordinate validation it is
@@ -35,32 +38,13 @@ class NodeState:
     empty.
     """
 
-    __slots__ = ("node_id", "in_range", "dnl", "inl", "idn")
+    __slots__ = ("node_id", "in_range", "known", "dnl")
 
     def __init__(self, node_id, in_range):
         self.node_id = node_id
         self.in_range = in_range
+        self.known = {node_id}
         self.dnl = set()
-        self.inl = set()
-        self.idn = set()
-
-    def known(self):
-        """Every node this one can report: its tables plus itself."""
-        return self.dnl | self.inl | self.idn | {self.node_id}
-
-    def learn(self, learned):
-        """File gossiped nodes under INL or IDN; never demotes from DNL."""
-        learned = learned - self.dnl - {self.node_id}
-        near = learned & self.in_range
-        self.idn |= near
-        self.inl -= near
-        self.inl |= learned - near
-
-    def add_direct(self, u):
-        """Record a completed handshake with u."""
-        self.inl.discard(u)
-        self.idn.discard(u)
-        self.dnl.add(u)
 
 
 def process_handshake(a, b):
@@ -69,19 +53,19 @@ def process_handshake(a, b):
     b learns a's tables from the request; a learns b's updated tables from
     the response; the closing acknowledgement carries nothing new.
     """
-    b.add_direct(a.node_id)
-    b.learn(a.known())
-    a.add_direct(b.node_id)
-    a.learn(b.known())
+    b.dnl.add(a.node_id)
+    b.known |= a.known
+    a.dnl.add(b.node_id)
+    a.known |= b.known
 
 
 def check_termination(state, n_nodes):
-    """The N-1 rule: verified plus indirectly reported nodes account for N-1.
+    """The N-1 rule |DNL| + |INL| = N-1, read off the two sets.
 
-    The tables are disjoint and never hold the owner, so |DNL| + |INL| +
-    |IDN| <= N-1 and the rule can only hold with IDN empty: a pending
-    verification already blocks it. A validating node files every gossiped
-    in-range node under IDN, so it satisfies the rule only once each of its
-    in-range neighbours has been verified directly.
+    Under validation dnl is a subset of in_range (only in-range pairs
+    handshake) and INL never holds an in-range node, so the count holds
+    exactly when the node has heard of all N nodes and has verified its
+    whole in-range set. Without validation in_range is empty, so the rule
+    fires on hearsay alone: that is the premature stop.
     """
-    return len(state.dnl) + len(state.inl) == n_nodes - 1
+    return len(state.known) == n_nodes and state.in_range <= state.dnl

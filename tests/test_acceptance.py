@@ -6,6 +6,7 @@ hits) are excluded from the means and reported; they are bounded to a small
 fraction of each batch.
 """
 
+import functools
 import math
 import random
 import statistics
@@ -25,9 +26,14 @@ from rendezsim.topology import deploy
 MASTER = 20260826
 
 
+@functools.cache
 def run_cell(protocol, termination, n, c, m, pr, runs, cap=60_000,
              max_incomplete_frac=0.05):
-    """Replicate one scenario cell; returns (records, n_incomplete)."""
+    """Replicate one scenario cell; returns (records, n_incomplete).
+
+    Cached by its arguments, so a cell that several criteria (or both of
+    criterion 3's loops) ask for is simulated once per session.
+    """
     records = []
     incomplete = 0
     for r in range(runs):
@@ -45,7 +51,7 @@ def run_cell(protocol, termination, n, c, m, pr, runs, cap=60_000,
             incomplete += 1
     assert incomplete <= max_incomplete_frac * runs, (
         f"{incomplete}/{runs} replications hit the safety cap")
-    return records, incomplete
+    return tuple(records), incomplete
 
 
 def attr_of(records, which):

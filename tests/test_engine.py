@@ -286,6 +286,9 @@ def test_config_validation():
         make_cfg(termination="bogus")
     with pytest.raises(ValueError):
         make_cfg(max_slots=0)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"^need at least 2 nodes, got {n}$"):
+            make_cfg(n_nodes=n)
 
 
 def test_validation_flag_follows_protocol_and_policy():

@@ -421,6 +421,20 @@ def test_cli_rejects_runs_below_one_in_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_fewer_than_two_nodes_in_one_line(tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    for nodes in ("1", "-3"):
+        assert main(_with(RUN_ARGS, "--nodes", nodes) + ["--out", str(out)]) == 2
+        assert _one_error_line(capsys) == f"rendezsim: need at least 2 nodes, got {nodes}\n"
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text(
+        "protocols = mrdmca\nterminations = controlled\nnodes = -3\n"
+        "channels = 10\nsimilarity = 5\npr = off\nruns = 2\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "rendezsim: need at least 2 nodes, got -3\n"
+    assert not out.exists()
+
+
 def test_cli_audit_counts_a_capped_replay_as_a_mismatch(tmp_path, monkeypatch, capsys):
     runs_out = tmp_path / "runs.csv"
     main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])

@@ -13,78 +13,99 @@ def make_node(node_id, validate, in_range=()):
     return NodeState(node_id, frozenset(in_range) if validate else frozenset())
 
 
+def views(node):
+    """The paper's (DNL, INL, IDN) tables, by the protocol module's formulas."""
+    inl = node.known - node.dnl - node.in_range - {node.node_id}
+    idn = node.known & node.in_range - node.dnl
+    return node.dnl, inl, idn
+
+
+def peer_knowing(node_id, learned):
+    # a handshake peer that has already heard of every node in learned
+    peer = make_node(node_id, validate=False)
+    peer.known |= learned
+    return peer
+
+
 def table_invariants(state):
-    assert not state.dnl & state.inl
-    assert not state.dnl & state.idn
-    assert not state.inl & state.idn
-    assert state.node_id not in state.dnl | state.inl | state.idn
+    dnl, inl, idn = views(state)
+    assert not dnl & inl
+    assert not dnl & idn
+    assert not inl & idn
+    assert state.node_id not in dnl | inl | idn
+    assert dnl | inl | idn | {state.node_id} == state.known
+
+
+def test_a_node_stores_what_it_heard_of_and_what_it_verified():
+    assert NodeState.__slots__ == ("node_id", "in_range", "known", "dnl")
+    a = make_node(4, validate=True, in_range={1})
+    assert a.known == {4} and a.dnl == set()
+    assert views(a) == (set(), set(), set())
 
 
 def test_fresh_two_node_handshake():
     a = make_node(0, validate=True, in_range={1})
     b = make_node(1, validate=True, in_range={0})
     process_handshake(a, b)
-    assert a.dnl == {1} and b.dnl == {0}
-    assert a.inl == a.idn == set()
-    assert b.inl == b.idn == set()
+    assert views(a) == ({1}, set(), set())
+    assert views(b) == ({0}, set(), set())
     table_invariants(a)
     table_invariants(b)
 
 
 def test_gossiped_in_range_node_lands_in_idn_when_validating():
     a = make_node(0, validate=True, in_range={1, 2})
-    a.learn({2})
-    assert a.idn == {2} and a.inl == set()
+    process_handshake(a, peer_knowing(1, {2}))
+    assert views(a) == ({1}, set(), {2})
     table_invariants(a)
 
 
 def test_gossiped_out_of_range_node_lands_in_inl():
     a = make_node(0, validate=True, in_range={1})
-    a.learn({2})
-    assert a.inl == {2} and a.idn == set()
+    process_handshake(a, peer_knowing(1, {2}))
+    assert views(a) == ({1}, {2}, set())
 
 
 def test_boundary_distance_is_in_range():
     # node 1 sits exactly r away; the deployment's in-range set includes it
     topo = _build_topology([(0.0, 0.0), (100.0, 0.0)], 100.0)
     a = NodeState(0, topo.dnl_star[0])
-    a.learn({1})
-    assert a.idn == {1}
+    a.known.add(1)
+    assert views(a) == (set(), set(), {1})
 
 
 def test_without_validation_everything_learned_goes_to_inl():
-    a = make_node(0, validate=False, in_range={2})
-    a.learn({2, 3})   # 2 is in range, but the node cannot tell
-    assert a.inl == {2, 3} and a.idn == set()
-
-
-def test_better_coordinates_promote_inl_to_idn():
-    a = make_node(0, validate=True, in_range={2})
-    a.inl.add(2)
-    a.learn({2})
-    assert a.idn == {2} and a.inl == set()
-    table_invariants(a)
+    a = make_node(0, validate=False, in_range={1, 2})
+    process_handshake(a, peer_knowing(1, {2, 3}))   # 2 is in range, but a cannot tell
+    assert views(a) == ({1}, {2, 3}, set())
 
 
 def test_dnl_membership_is_final():
+    # hearing of a verified node again leaves it verified
     a = make_node(0, validate=True, in_range={2})
-    a.add_direct(2)
-    a.learn({2})
-    assert a.dnl == {2} and a.idn == set() and a.inl == set()
+    b = make_node(2, validate=True, in_range={0})
+    process_handshake(a, b)
+    process_handshake(a, b)
+    assert views(a) == ({2}, set(), set())
 
 
 def test_direct_handshake_clears_pending_entries():
     a = make_node(0, validate=True, in_range={1})
-    a.idn.add(1)
-    a.add_direct(1)
-    assert a.dnl == {1} and a.idn == set()
+    a.known.add(1)
+    assert views(a) == (set(), set(), {1})
+    process_handshake(a, make_node(1, validate=True, in_range={0}))
+    assert views(a) == ({1}, set(), set())
 
 
 def test_node_never_learns_itself():
+    # the peer's reply gossips a back to a
     for validate in (True, False):
-        a = make_node(0, validate=validate, in_range={0})
-        a.learn({0})
-        assert a.dnl == a.inl == a.idn == set()
+        a = make_node(0, validate=validate, in_range={1})
+        b = make_node(1, validate=validate, in_range={0})
+        process_handshake(a, b)
+        assert 0 in b.known
+        assert views(a) == ({1}, set(), set())
+        table_invariants(a)
 
 
 def test_handshake_propagates_tables_both_ways():
@@ -92,9 +113,9 @@ def test_handshake_propagates_tables_both_ways():
     # of 2, file it under IDN
     a = make_node(0, validate=True, in_range={1, 2})
     b = make_node(1, validate=True, in_range={0, 2})
-    b.add_direct(2)
+    process_handshake(b, make_node(2, validate=True, in_range={0, 1}))
     process_handshake(a, b)
-    assert a.dnl == {1} and a.idn == {2}
+    assert views(a) == ({1}, set(), {2})
     assert b.dnl == {0, 2}
     table_invariants(a)
     table_invariants(b)
@@ -175,14 +196,17 @@ def test_set_rule_matches_the_coordinate_message_reference():
                 process_handshake(nodes[i], nodes[j])
                 reference_handshake(refs[i], refs[j])
                 for k, (node, ref) in enumerate(zip(nodes, refs)):
-                    assert (node.dnl, node.inl, node.idn) == (ref.dnl, ref.inl, ref.idn)
+                    assert views(node) == (ref.dnl, ref.inl, ref.idn)
                     table_invariants(node)
+                    # the one-line rule is the paper's N-1 count
+                    stops = check_termination(node, n)
+                    assert stops == (len(ref.dnl) + len(ref.inl) == n - 1)
                     # the engine stops every policy on this rule alone: a
                     # pending verification must already block it, and under
                     # validation it must only hold on the true neighbours
-                    if check_termination(node, n):
+                    if stops:
                         fired[validate] += 1
-                        assert not node.idn
+                        assert not views(node)[2]
                         if validate:
                             assert node.dnl == topo.dnl_star[k]
     assert fired[True] and fired[False]
@@ -197,25 +221,27 @@ def test_a_stopped_node_still_relays_what_only_it_can_reach():
     process_handshake(a, b)
     process_handshake(b, c)
     assert check_termination(b, 3)
-    assert not check_termination(a, 3) and a.inl == set()
+    assert not check_termination(a, 3) and views(a)[1] == set()
     # the engine keeps a stopped node handshaking, which is A's only way on
     process_handshake(a, b)
-    assert a.inl == {2} and check_termination(a, 3)
+    assert views(a)[1] == {2} and check_termination(a, 3)
 
 
 def test_termination_three_node_chain_controlled():
-    a = make_node(0, validate=True)
+    a = make_node(0, validate=True, in_range={1})
     a.dnl = {1}
-    a.inl = {2}
+    a.known = {0, 1, 2}
+    assert views(a) == ({1}, {2}, set())
     assert check_termination(a, 3)
 
 
 def test_pending_verification_blocks_both_policies_by_disjointness():
     # a pending IDN entry does not count toward N-1, so the one rule every
     # stopping policy uses cannot hold
-    a = make_node(0, validate=True)
+    a = make_node(0, validate=True, in_range={1, 2})
     a.dnl = {1}
-    a.idn = {2}
+    a.known = {0, 1, 2}
+    assert views(a) == ({1}, set(), {2})
     assert not check_termination(a, 3)
 
 
@@ -225,13 +251,13 @@ def test_premature_termination_witness():
     # validating node keeps 2 pending in IDN, which blocks the count until
     # the handshake happens.
     blind = make_node(0, validate=False, in_range={1, 2})
-    blind.dnl = {1}
-    blind.learn({2, 3})
+    process_handshake(blind, peer_knowing(1, {2, 3}))
+    assert views(blind) == ({1}, {2, 3}, set())
     assert check_termination(blind, 4)
 
     careful = make_node(0, validate=True, in_range={1, 2})
-    careful.dnl = {1}
-    careful.learn({2, 3})
+    process_handshake(careful, peer_knowing(1, {2, 3}))
+    assert views(careful) == ({1}, {3}, {2})
     assert not check_termination(careful, 4)
-    careful.add_direct(2)
+    process_handshake(careful, make_node(2, validate=True, in_range={0, 1}))
     assert check_termination(careful, 4)
