@@ -36,17 +36,20 @@ def build_parser():
     p_run.add_argument("--trace", default=None, help="per-run event trace path")
     p_run.add_argument("--fix-topology", action="store_true",
                        help="reuse deployments across cells for matched comparisons")
+    p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a grid from a config file")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--seed", type=int, default=None,
                          help="override the config's master seed")
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_paper = sub.add_parser("paper", help="run a built-in evaluation grid")
     p_paper.add_argument("grid", choices=("baseline", "controlled", "scale"))
     p_paper.add_argument("--runs", type=int, default=None,
                          help="replications per cell (default 1000)")
     p_paper.add_argument("--seed", type=int, default=0)
+    p_paper.set_defaults(func=_cmd_paper)
 
     for p in (p_run, p_sweep, p_paper):
         p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
@@ -55,6 +58,7 @@ def build_parser():
 
     p_audit = sub.add_parser("audit", help="replay a per-run CSV and re-verify it")
     p_audit.add_argument("csv", help="per-run CSV produced with --runs-out")
+    p_audit.set_defaults(func=_cmd_audit)
     return parser
 
 
@@ -158,18 +162,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "paper":
-            return _cmd_paper(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
+        return args.func(args)
     except (ValueError, OSError, DeploymentError, IncompleteRun) as exc:
         print(f"rendezsim: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

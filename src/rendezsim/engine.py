@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError(f"unknown termination mode {self.termination!r}")
         if self.n_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
+        if not 1 <= self.similarity <= self.pool_size:
+            raise ValueError(f"similarity must be in [1, {self.pool_size}], got {self.similarity}")
         if self.max_slots <= 0:
             raise ValueError("max_slots must be positive")
 
@@ -75,7 +77,8 @@ class RunRecord:
     Times are in slots at half-slot resolution (multiples of 0.5). t_n1 is the
     first time the N-1 rule held (`check_termination`); t_full the first time
     it held with DNL equal to ground truth. ptm/ctm are taken on the DNL frozen
-    at each node's stop mark (t_n1, or t_full under run_to_full).
+    at each node's stop mark (t_n1, or t_full under run_to_full), where a
+    traced run writes the node's `terminate` line.
 
     A stopped node keeps serving until the run ends (see run_once), so
     final_dnl is each DNL at the run's end, and a t_full after the stop mark
@@ -174,7 +177,8 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     consecutive runs that share one deploy it once. trace, when given, is a
     writable text stream receiving `slot half node channel event detail`
     lines: every node's selection in every half-slot, then that half-slot's
-    handshakes and stop marks.
+    handshakes, then a `terminate` line for each node whose stop mark (t_n1,
+    or t_full under run_to_full) falls in it.
 
     Each half-slot takes every node's channel, then compares the two ends
     of every in-range pair at once. The pairs that meet on a channel both
@@ -215,32 +219,14 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     states = [proto.NodeState(i, in_range[i]) for i in range(n)]
 
     t_n1, t_full, ptm_values = [None] * n, [None] * n, [None] * n  # ptm set at stop marks
-    run_to_full = cfg.termination == proto.RUN_TO_FULL
-    pending = set(range(n))  # nodes still missing their stop mark
-
-    def update_marks(i, tnow, slot, half):
-        st = states[i]
-        if not proto.check_termination(st, n):
-            return
-        if t_n1[i] is None:
-            t_n1[i] = tnow
-            if not run_to_full:
-                pending.discard(i)
-                ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
-                if trace is not None:
-                    trace.write(f"{slot} {half} {i} - terminate dnl={sorted(st.dnl)}\n")
-        if t_full[i] is None and st.dnl == neighbour_sets[i]:
-            t_full[i] = tnow
-            if run_to_full:
-                pending.discard(i)
-                ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
+    stops = t_full if cfg.termination == proto.RUN_TO_FULL else t_n1
 
     slot = half_index = 0
-    while pending:
+    while None in stops:
         if slot >= cfg.max_slots:
             raise IncompleteRun(
                 f"safety cap of {cfg.max_slots} slots reached with "
-                f"{len(pending)} node(s) unfinished (seed {cfg.seed})"
+                f"{stops.count(None)} node(s) unfinished (seed {cfg.seed})"
             )
         for half in (0, 1):
             selections = [select() for select in selects]
@@ -264,7 +250,17 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                     trace.write(f"{slot} {half} {i} {ch} handshake peer={j}\n")
             tnow = half_index * 0.5
             for i in sorted(touched):
-                update_marks(i, tnow, slot, half)
+                st = states[i]
+                if not proto.check_termination(st, n):
+                    continue
+                if t_n1[i] is None:
+                    t_n1[i] = tnow
+                if t_full[i] is None and st.dnl == neighbour_sets[i]:
+                    t_full[i] = tnow
+                if stops[i] == tnow:  # the stop mark was set just now
+                    ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
+                    if trace is not None:
+                        trace.write(f"{slot} {half} {i} - terminate dnl={sorted(st.dnl)}\n")
         slot += 1
 
     return RunRecord(scenario=cfg.scenario_key(), seed=cfg.seed, slots_used=slot,

@@ -242,8 +242,9 @@ def parse_grid_config(text):
     Keys: name, protocols, terminations, nodes, channels, similarity, pr,
     runs, seed, max_slots, fix_topology (1/true/yes or 0/false/no, any
     case). Lines starting with # are comments. A malformed line, an unknown
-    or repeated key, or a bad value, such as a name with a comma or a
-    leading #, raises a line-numbered ValueError.
+    or repeated key, or a value of the wrong form raises a line-numbered
+    ValueError; a value the scenario rejects, such as a similarity above C,
+    raises one without, here or before run_grid starts any replication.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -14,6 +14,7 @@ from rendezsim.engine import (
 )
 from rendezsim.cli import main
 from rendezsim.pr_activity import ChannelOccupancy, PrParams
+from rendezsim.protocol import TERMINATION_MODES
 from rendezsim.topology import _build_topology, assign_channels, deploy
 
 
@@ -235,6 +236,20 @@ def test_run_to_full_leaves_no_policy_mark():
     assert rec.ctm == 100.0  # by definition of running to full discovery
 
 
+@pytest.mark.parametrize("termination", TERMINATION_MODES)
+def test_trace_writes_one_terminate_line_per_node_at_its_stop_mark(termination):
+    cfg = make_cfg(protocol="mdmca", termination=termination, n_nodes=4, seed=9)
+    buf = io.StringIO()
+    rec = run_once(cfg, trace=buf)
+    stops = rec.t_full if termination == "run_to_full" else rec.t_n1
+    lines = [line.split(maxsplit=5) for line in buf.getvalue().splitlines()]
+    # a mark set in (slot, half) reads the end of that half-slot
+    stopped = {int(node): (2 * int(slot) + int(half) + 1) / 2
+               for slot, half, node, _, event, _ in lines if event == "terminate"}
+    assert sum(line[4] == "terminate" for line in lines) == cfg.n_nodes
+    assert stopped == dict(enumerate(stops))
+
+
 def test_stopped_nodes_keep_handshaking(tmp_path):
     # a stop mark freezes a node's reported topology, not its radio: in this
     # traced run node 7 stops at slot 97 and handshakes with node 5 at 123
@@ -289,6 +304,9 @@ def test_config_validation():
     for n in (1, 0, -3):
         with pytest.raises(ValueError, match=f"^need at least 2 nodes, got {n}$"):
             make_cfg(n_nodes=n)
+    for m in (0, -1, 11):
+        with pytest.raises(ValueError, match=rf"^similarity must be in \[1, 10\], got {m}$"):
+            make_cfg(similarity=m)
 
 
 def test_validation_flag_follows_protocol_and_policy():

@@ -435,6 +435,18 @@ def test_cli_rejects_fewer_than_two_nodes_in_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_a_bad_similarity_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_once", _raise(AssertionError("a replication ran")))
+    out = tmp_path / "agg.csv"
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text(
+        "protocols = mrdmca\nterminations = controlled\nnodes = 3\n"
+        "channels = 10\nsimilarity = 2, 11\npr = off\nruns = 2\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "rendezsim: similarity must be in [1, 10], got 11\n"
+    assert not out.exists()
+
+
 def test_cli_audit_counts_a_capped_replay_as_a_mismatch(tmp_path, monkeypatch, capsys):
     runs_out = tmp_path / "runs.csv"
     main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])

@@ -93,6 +93,8 @@ def reference_run_once(cfg, topo=None, chans=None, trace=None):
             if run_to_full:
                 pending.discard(i)
                 ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
+                if trace is not None:
+                    trace.write(f"{slot} {half} {i} - terminate dnl={sorted(st.dnl)}\n")
 
     slot = 0
     half_index = 0
