@@ -5,7 +5,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 
-from .engine import RunConfig, IncompleteRun, run_once
+from .engine import RunConfig, IncompleteRun, run_once, DEFAULT_MAX_SLOTS
 from .experiments import (
     ScenarioGrid, run_grid, paper_grid, parse_grid_config,
     aggregate_csv, runs_csv, run_row, RUN_COLUMNS,
@@ -56,7 +56,8 @@ def build_parser():
         p.add_argument("--out", default=None, help="aggregate CSV path (default stdout)")
         p.add_argument("--runs-out", default=None, help="optional per-run CSV path")
 
-    p_audit = sub.add_parser("audit", help="replay a per-run CSV and re-verify it")
+    p_audit = sub.add_parser("audit", help=f"replay a per-run CSV at the default {DEFAULT_MAX_SLOTS}"
+                             "-slot cap and re-verify it; a row that needed more slots mismatches")
     p_audit.add_argument("csv", help="per-run CSV produced with --runs-out")
     p_audit.set_defaults(func=_cmd_audit)
     return parser

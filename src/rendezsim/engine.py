@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError(f"unknown termination mode {self.termination!r}")
         if self.n_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
+        if self.pool_size < 1:
+            raise ValueError(f"need at least 1 channel, got {self.pool_size}")
         if not 1 <= self.similarity <= self.pool_size:
             raise ValueError(f"similarity must be in [1, {self.pool_size}], got {self.similarity}")
         if self.max_slots <= 0:
@@ -66,8 +68,9 @@ class RunConfig:
         return self.protocol == "mrdmca" or self.termination == proto.CONTROLLED
 
     def scenario_key(self):
-        return (self.protocol, self.termination, self.n_nodes, self.pool_size,
-                self.similarity, self.pr.name)
+        """The six scenario cells of a CSV row: protocol, termination, N, C, m, PR."""
+        return (self.protocol, self.termination, str(self.n_nodes),
+                str(self.pool_size), str(self.similarity), self.pr.name)
 
 
 @dataclass
@@ -97,7 +100,8 @@ class RunRecord:
 
     @property
     def t_term(self):
-        """The policy's stop mark: t_n1, or all None under run_to_full."""
+        """The N-1 stop, t_n1; run_to_full has none (all None): its nodes stop
+        at t_full, which the CSVs report as ttr_full and attr_full."""
         if self.scenario[1] == proto.RUN_TO_FULL:  # see RunConfig.scenario_key
             return [None] * len(self.t_n1)
         return self.t_n1

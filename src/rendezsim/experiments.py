@@ -2,8 +2,9 @@
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
-from itertools import product
+from dataclasses import MISSING, dataclass, asdict, fields, replace
+from itertools import groupby, product
+from operator import itemgetter
 
 from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS, DEFAULT_RANGE_M
 from .hopping import PROTOCOLS
@@ -99,9 +100,8 @@ def run_row(scenario, run_index, cfg, record):
     record is None for a run that hit the safety cap; its row is flagged
     `incomplete` and leaves the timing and accuracy cells empty.
     """
-    row = [scenario, cfg.protocol, cfg.termination, str(cfg.n_nodes),
-           str(cfg.pool_size), str(cfg.similarity), cfg.pr.name,
-           str(run_index), str(cfg.seed), fmt(cfg.topo_seed), fmt(cfg.chan_seed)]
+    row = [scenario, *cfg.scenario_key(), str(run_index), str(cfg.seed),
+           fmt(cfg.topo_seed), fmt(cfg.chan_seed)]
     if record is None:
         return row + ["", "", "", "", "incomplete"]
     return row + [fmt(record.node_mean("policy")), fmt(record.node_mean("n1")),
@@ -137,7 +137,7 @@ def run_grid(grid, workers=1, trace=None):
     items = _run_configs(grid)
     results = []
     if trace is not None:
-        first = min(items, key=lambda item: item[:2])
+        first = min(items, key=itemgetter(0, 1))
         items.remove(first)
         results.append(first + (run_once(first[2], trace=trace),))
     workers = min(workers, len(items))
@@ -146,21 +146,16 @@ def run_grid(grid, workers=1, trace=None):
             results += pool.map(_execute, items, chunksize=16)
     else:
         results += [_execute(item) for item in items]
-    results.sort(key=lambda r: (r[0], r[1]))
+    results.sort(key=itemgetter(0, 1))
 
-    cell_records = {}
-    run_rows = []
-    for cell_index, run_index, cfg, record in results:
-        run_rows.append(run_row(grid.name, run_index, cfg, record))
-        if record is not None:
-            cell_records.setdefault(cell_index, []).append(record)
-
+    run_rows = [run_row(grid.name, run_index, cfg, record)
+                for _, run_index, cfg, record in results]
     aggregate_rows = []
-    for cell_index, cfg in grid.cells():
-        records = cell_records.get(cell_index, [])
-        if not records:
-            continue
-        aggregate_rows.append(aggregate_row(grid.name, cfg, aggregate(records)))
+    for _, cell in groupby(results, itemgetter(0)):
+        cell = list(cell)
+        records = [record for *_, record in cell if record is not None]
+        if records:
+            aggregate_rows.append(aggregate_row(grid.name, cell[0][2], aggregate(records)))
     return GridResult(grid=grid, run_rows=run_rows, aggregate_rows=aggregate_rows)
 
 
@@ -218,10 +213,6 @@ def _flag(text):
     raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
 
 
-_LIST_KEYS = {
-    "protocols": str, "terminations": str, "pr": str,
-    "nodes": int, "channels": int, "similarity": int,
-}
 def _grid_name(text):
     # the name is the first cell of every per-run row, so a comma shifts
     # the row's columns and a leading # turns the row into a comment
@@ -230,9 +221,14 @@ def _grid_name(text):
     return text
 
 
-_SCALAR_KEYS = {
-    "name": _grid_name, "runs": int, "seed": int,
-    "max_slots": int, "fix_topology": _flag,
+# config key: (ScenarioGrid field, value parser, comma-separated list?)
+_CONFIG_KEYS = {
+    "name": ("name", _grid_name, False), "runs": ("runs", int, False),
+    "seed": ("master_seed", int, False), "max_slots": ("max_slots", int, False),
+    "fix_topology": ("fix_topology", _flag, False),
+    "protocols": ("protocols", str, True), "terminations": ("terminations", str, True),
+    "nodes": ("n_values", int, True), "channels": ("c_values", int, True),
+    "similarity": ("m_values", int, True), "pr": ("pr_levels", str, True),
 }
 
 
@@ -241,8 +237,9 @@ def parse_grid_config(text):
 
     Keys: name, protocols, terminations, nodes, channels, similarity, pr,
     runs, seed, max_slots, fix_topology (1/true/yes or 0/false/no, any
-    case). Lines starting with # are comments. A malformed line, an unknown
-    or repeated key, or a value of the wrong form raises a line-numbered
+    case); a key left out takes ScenarioGrid's default, and name "sweep".
+    Lines starting with # are comments. A malformed line, an unknown or
+    repeated key, or a value of the wrong form raises a line-numbered
     ValueError; a value the scenario rejects, such as a similarity above C,
     raises one without, here or before run_grid starts any replication.
     """
@@ -255,30 +252,20 @@ def parse_grid_config(text):
             raise ValueError(f"line {lineno}: expected `key = value`")
         key, _, val = line.partition("=")
         key, val = key.strip().lower(), val.strip()
-        conv = _LIST_KEYS.get(key) or _SCALAR_KEYS.get(key)
-        if conv is None:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        field, conv, is_list = _CONFIG_KEYS[key]
+        if field in values:
             raise ValueError(f"line {lineno}: repeated key {key!r}")
         try:
-            values[key] = (tuple(conv(v.strip()) for v in val.split(","))
-                           if key in _LIST_KEYS else conv(val))
+            values[field] = (tuple(conv(v.strip()) for v in val.split(","))
+                             if is_list else conv(val))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
-    missing = {"protocols", "terminations", "nodes", "channels",
-               "similarity", "pr", "runs"} - set(values)
+    values.setdefault("name", "sweep")
+    required = {f.name for f in fields(ScenarioGrid) if f.default is MISSING}
+    missing = sorted(key for key, (field, *_) in _CONFIG_KEYS.items()
+                     if field in required and field not in values)
     if missing:
-        raise ValueError(f"missing keys: {sorted(missing)}")
-    return ScenarioGrid(
-        name=values.get("name", "sweep"),
-        protocols=values["protocols"],
-        terminations=values["terminations"],
-        n_values=values["nodes"],
-        c_values=values["channels"],
-        m_values=values["similarity"],
-        pr_levels=values["pr"],
-        runs=values["runs"],
-        master_seed=values.get("seed", 0),
-        max_slots=values.get("max_slots", DEFAULT_MAX_SLOTS),
-        fix_topology=values.get("fix_topology", False),
-    )
+        raise ValueError(f"missing keys: {missing}")
+    return ScenarioGrid(**values)

@@ -103,8 +103,7 @@ def fmt(value):
 def aggregate_row(scenario, cfg, agg):
     """One aggregate CSV row (list of strings) in AGGREGATE_COLUMNS order."""
     return [
-        scenario, cfg.protocol, cfg.termination, str(cfg.n_nodes),
-        str(cfg.pool_size), str(cfg.similarity), cfg.pr.name, str(agg.runs),
-        fmt(agg.attr_policy), fmt(agg.attr_n1), fmt(agg.attr_full),
-        fmt(agg.atm), fmt(agg.ptdd), fmt(agg.attr_ci95), fmt(agg.atm_ci95),
+        scenario, *cfg.scenario_key(), str(agg.runs), fmt(agg.attr_policy),
+        fmt(agg.attr_n1), fmt(agg.attr_full), fmt(agg.atm), fmt(agg.ptdd),
+        fmt(agg.attr_ci95), fmt(agg.atm_ci95),
     ]

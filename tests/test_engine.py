@@ -307,6 +307,10 @@ def test_config_validation():
     for m in (0, -1, 11):
         with pytest.raises(ValueError, match=rf"^similarity must be in \[1, 10\], got {m}$"):
             make_cfg(similarity=m)
+    # a bad channel count is named, not blamed on a valid similarity
+    for c in (0, -4):
+        with pytest.raises(ValueError, match=f"^need at least 1 channel, got {c}$"):
+            make_cfg(pool_size=c, similarity=1)
 
 
 def test_validation_flag_follows_protocol_and_policy():

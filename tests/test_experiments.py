@@ -3,7 +3,7 @@
 import io
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -208,6 +208,34 @@ def test_parse_grid_config_errors():
             parse_grid_config(GRID_TEXT + f"name = {name}\n")
     for word, flag in (("YES", True), ("1", True), ("No", False), ("false", False)):
         assert parse_grid_config(GRID_TEXT + f"fix_topology = {word}\n").fix_topology is flag
+
+
+def test_config_keys_name_every_grid_field_once():
+    named = [field for field, *_ in experiments._CONFIG_KEYS.values()]
+    assert sorted(named) == sorted(f.name for f in fields(ScenarioGrid))
+    # the seven required keys alone take every other value from ScenarioGrid
+    assert parse_grid_config(GRID_TEXT) == ScenarioGrid(
+        name="sweep", protocols=("mrdmca",), terminations=("controlled",),
+        n_values=(3,), c_values=(10,), m_values=(5,), pr_levels=("off",), runs=1)
+    with pytest.raises(ValueError, match=r"^missing keys: \['channels', 'nodes', 'pr', "
+                                         r"'runs', 'similarity', 'terminations'\]$"):
+        parse_grid_config("protocols = rcs")
+
+
+def test_a_cell_without_a_completed_run_gets_no_aggregate_row(monkeypatch):
+    real = experiments.run_once
+
+    def capped(cfg, trace=None):
+        if cfg.protocol == "mca":
+            raise IncompleteRun("safety cap reached")
+        return real(cfg, trace=trace)
+
+    monkeypatch.setattr(experiments, "run_once", capped)
+    result = run_grid(replace(SMALL_GRID, protocols=("rcs", "mca", "mrdmca"), runs=3))
+    assert [row[1] for row in result.aggregate_rows] == ["rcs", "mrdmca"]
+    assert [(row[1], row[-1]) for row in result.run_rows] == (
+        [("rcs", "yes")] * 3 + [("mca", "incomplete")] * 3 + [("mrdmca", "yes")] * 3)
+    assert result.incomplete == 3
 
 
 # --- CLI end to end ---------------------------------------------------------
@@ -444,6 +472,21 @@ def test_cli_rejects_a_bad_similarity_before_any_run(tmp_path, monkeypatch, caps
         "channels = 10\nsimilarity = 2, 11\npr = off\nruns = 2\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert _one_error_line(capsys) == "rendezsim: similarity must be in [1, 10], got 11\n"
+    assert not out.exists()
+
+
+def test_cli_rejects_fewer_than_one_channel_in_one_line(tmp_path, capsys):
+    out = tmp_path / "agg.csv"
+    for channels in ("0", "-4"):
+        args = _with(_with(RUN_ARGS, "--channels", channels), "--similarity", "1")
+        assert main(args + ["--out", str(out)]) == 2
+        assert _one_error_line(capsys) == f"rendezsim: need at least 1 channel, got {channels}\n"
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text(
+        "protocols = mrdmca\nterminations = controlled\nnodes = 3\n"
+        "channels = 0\nsimilarity = 1\npr = off\nruns = 2\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "rendezsim: need at least 1 channel, got 0\n"
     assert not out.exists()
 
 
