@@ -1,6 +1,7 @@
 """Command-line front end: single cells, config sweeps, built-in grids, audit."""
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -63,7 +64,18 @@ def build_parser():
     return parser
 
 
-def _emit(args, result):
+def _run_and_emit(args, grids, trace=None):
+    """Run the grids in order and write their merged rows as CSV; a bad --out
+    or --runs-out fails first, as opening it would, and no file is left."""
+    for path in filter(None, (args.out, args.runs_out)):
+        created = not os.path.lexists(path)
+        open(path, "a").close()
+        if created:
+            os.remove(path)
+    result, *extras = [run_grid(g, workers=args.workers, trace=trace) for g in grids]
+    for extra in extras:
+        result.aggregate_rows.extend(extra.aggregate_rows)
+        result.run_rows.extend(extra.run_rows)
     text = aggregate_csv(result)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -73,6 +85,7 @@ def _emit(args, result):
     if args.runs_out:
         with open(args.runs_out, "w", newline="") as fh:
             fh.write(runs_csv(result))
+    return 0
 
 
 def _cmd_run(args):
@@ -84,9 +97,7 @@ def _cmd_run(args):
     )
     # the first replication is traced inside the grid; the rest run untraced
     with open(args.trace, "w") if args.trace else nullcontext() as fh:
-        result = run_grid(grid, workers=args.workers, trace=fh)
-    _emit(args, result)
-    return 0
+        return _run_and_emit(args, [grid], trace=fh)
 
 
 def _cmd_sweep(args):
@@ -94,19 +105,11 @@ def _cmd_sweep(args):
         grid = parse_grid_config(fh.read())
     if args.seed is not None:
         grid = replace(grid, master_seed=args.seed)
-    result = run_grid(grid, workers=args.workers)
-    _emit(args, result)
-    return 0
+    return _run_and_emit(args, [grid])
 
 
 def _cmd_paper(args):
-    merged, *extras = [run_grid(g, workers=args.workers)
-                       for g in paper_grid(args.grid, runs=args.runs, master_seed=args.seed)]
-    for extra in extras:
-        merged.aggregate_rows.extend(extra.aggregate_rows)
-        merged.run_rows.extend(extra.run_rows)
-    _emit(args, merged)
-    return 0
+    return _run_and_emit(args, paper_grid(args.grid, runs=args.runs, master_seed=args.seed))
 
 
 def _cmd_audit(args):
@@ -132,14 +135,17 @@ def _cmd_audit(args):
         if row["completed"] != "yes":
             raise ValueError(f"{args.csv}: row {line!r} is neither completed "
                              f"(yes) nor incomplete")
-        cfg = RunConfig(
-            protocol=row["protocol"], termination=row["termination"],
-            n_nodes=int(row["N"]), pool_size=int(row["C"]),
-            similarity=int(row["m"]), pr=PrParams.from_name(row["pr"]),
-            seed=int(row["seed"]),
-            topo_seed=int(row["topo_seed"]) if row["topo_seed"] else None,
-            chan_seed=int(row["chan_seed"]) if row["chan_seed"] else None,
-        )
+        try:
+            cfg = RunConfig(
+                protocol=row["protocol"], termination=row["termination"],
+                n_nodes=int(row["N"]), pool_size=int(row["C"]),
+                similarity=int(row["m"]), pr=PrParams.from_name(row["pr"]),
+                seed=int(row["seed"]),
+                topo_seed=int(row["topo_seed"]) if row["topo_seed"] else None,
+                chan_seed=int(row["chan_seed"]) if row["chan_seed"] else None,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{args.csv}: row {line!r}: {exc}") from None
         checked += 1
         try:
             record = run_once(cfg)

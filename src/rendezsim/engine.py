@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -57,7 +58,7 @@ class RunConfig:
         if not 1 <= self.similarity <= self.pool_size:
             raise ValueError(f"similarity must be in [1, {self.pool_size}], got {self.similarity}")
         if self.max_slots <= 0:
-            raise ValueError("max_slots must be positive")
+            raise ValueError(f"max_slots must be positive, got {self.max_slots}")
 
     @property
     def validate_coords(self):
@@ -86,7 +87,8 @@ class RunRecord:
     A stopped node keeps serving until the run ends (see run_once), so
     final_dnl is each DNL at the run's end, and a t_full after the stop mark
     is when the node's live tables became right, unseen by its frozen PTM;
-    under baseline t_full stays None if that never happened.
+    under baseline t_full stays None if that never happened. A sweep keeps
+    only each run's summary() and drops the record (experiments.run_grid).
     """
 
     scenario: tuple
@@ -111,6 +113,18 @@ class RunRecord:
         if any(t is None for t in marks):
             return None
         return sum(marks) / len(marks)
+
+    def summary(self):
+        return RunSummary(self.scenario, self.ctm, *map(self.node_mean, ("policy", "n1", "full")))
+
+
+class RunSummary(namedtuple("RunSummary", "scenario ctm policy n1 full")):
+    """What CSV rows and metrics.aggregate read of a run, via node_mean(which)."""
+
+    __slots__ = ()
+
+    def node_mean(self, which):
+        return getattr(self, which)
 
 
 def resolve_half_slot(meets, occupancy, half_slot_index):

@@ -1,7 +1,6 @@
 """Scenario grids, deterministic batch replication, and CSV emission."""
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, asdict, fields, replace
 from itertools import groupby, product
 from operator import itemgetter
@@ -87,11 +86,11 @@ def _run_configs(grid):
 
 
 def _execute(item):
-    """item + (record,), or item + (None,) for a run that hit the safety cap."""
+    """The RunSummary of item's run, or None for a run that hit the safety cap."""
     try:
-        return item + (run_once(item[2]),)
+        return run_once(item[2]).summary()
     except IncompleteRun:
-        return item + (None,)
+        return None
 
 
 def run_row(scenario, run_index, cfg, record):
@@ -125,6 +124,9 @@ class GridResult:
 def run_grid(grid, workers=1, trace=None):
     """Execute every cell x run; identical results for any worker count.
 
+    Each run's RunSummary (None if capped) is all that is kept of it; a
+    worker sends back that alone, paired with its work item by position.
+
     trace, when given, is a writable text stream that receives the event
     trace of replication 0 of cell 0 (see engine.run_once). That replication
     runs first, in this process, as the one whose row is written; if it hits
@@ -135,18 +137,19 @@ def run_grid(grid, workers=1, trace=None):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     items = _run_configs(grid)
-    results = []
-    if trace is not None:
-        first = min(items, key=itemgetter(0, 1))
-        items.remove(first)
-        results.append(first + (run_once(first[2], trace=trace),))
-    workers = min(workers, len(items))
+    summaries = []
+    if trace is not None:  # replication 0 of cell 0 moves to the front
+        items.sort(key=lambda item: item[:2] != (0, 0))
+        summaries.append(run_once(items[0][2], trace=trace).summary())
+    rest = items[len(summaries):]
+    workers = min(workers, len(rest))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results += pool.map(_execute, items, chunksize=16)
+            summaries += pool.map(_execute, rest, chunksize=16)
     else:
-        results += [_execute(item) for item in items]
-    results.sort(key=itemgetter(0, 1))
+        summaries += map(_execute, rest)
+    results = sorted((item + (s,) for item, s in zip(items, summaries)), key=itemgetter(0, 1))
 
     run_rows = [run_row(grid.name, run_index, cfg, record)
                 for _, run_index, cfg, record in results]

@@ -299,8 +299,9 @@ def test_config_validation():
         make_cfg(protocol="bogus")
     with pytest.raises(ValueError):
         make_cfg(termination="bogus")
-    with pytest.raises(ValueError):
-        make_cfg(max_slots=0)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match=f"^max_slots must be positive, got {cap}$"):
+            make_cfg(max_slots=cap)
     for n in (1, 0, -3):
         with pytest.raises(ValueError, match=f"^need at least 2 nodes, got {n}$"):
             make_cfg(n_nodes=n)

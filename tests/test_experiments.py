@@ -1,6 +1,8 @@
 """Batch harness and CLI tests: seeding, grids, CSV emission, audit replay."""
 
+import concurrent.futures
 import io
+import pickle
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -11,7 +13,7 @@ import rendezsim.cli as cli
 import rendezsim.engine as engine
 import rendezsim.experiments as experiments
 from rendezsim.cli import main
-from rendezsim.engine import IncompleteRun
+from rendezsim.engine import IncompleteRun, RunConfig
 from rendezsim.experiments import (
     ScenarioGrid,
     _run_configs,
@@ -24,6 +26,8 @@ from rendezsim.experiments import (
     runs_csv,
 )
 from rendezsim.hopping import PROTOCOLS
+from rendezsim.metrics import aggregate
+from rendezsim.pr_activity import PrParams
 from rendezsim.topology import DeploymentError
 
 SMALL_GRID = ScenarioGrid(
@@ -77,13 +81,58 @@ def test_worker_pool_never_outnumbers_the_runs(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     grid = replace(SMALL_GRID, runs=1)              # two cells, one run each
     result = run_grid(grid, workers=16)
     assert sizes == [2]
     assert runs_csv(result) == runs_csv(run_grid(grid))
     run_grid(grid, workers=16, trace=io.StringIO())  # one run left: no pool
     assert sizes == [2]
+
+
+def test_worker_count_does_not_change_results_under_fixed_topology():
+    # fix_topology reorders the work items, and each worker result is paired
+    # with its item by position only
+    grid = ScenarioGrid(name="pool", protocols=("rcs", "mrdmca"),
+                        terminations=("baseline", "controlled"), n_values=(3, 5),
+                        c_values=(10,), m_values=(5,), pr_levels=("off",),
+                        runs=5, master_seed=2, fix_topology=True)
+    serial = run_grid(grid, workers=1)
+    parallel = run_grid(grid, workers=2)
+    assert runs_csv(parallel) == runs_csv(serial)
+    assert aggregate_csv(parallel) == aggregate_csv(serial)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rendezsim.cli; "
+         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("termination", ["baseline", "controlled", "run_to_full"])
+def test_run_summaries_give_the_rows_and_aggregates_of_their_records(termination):
+    cfgs = [RunConfig(protocol="mdmca", termination=termination, n_nodes=5, pool_size=10,
+                      similarity=2, pr=PrParams.off(), seed=seed) for seed in range(6)]
+    records = [engine.run_once(cfg) for cfg in cfgs]
+    summaries = [record.summary() for record in records]
+    for k, (cfg, record, summary) in enumerate(zip(cfgs, records, summaries)):
+        assert run_row("s", k, cfg, summary) == run_row("s", k, cfg, record)
+    assert aggregate(summaries) == aggregate(records)
+    assert (aggregate(summaries).attr_policy is None) == (termination == "run_to_full")
+
+
+def test_a_worker_result_does_not_grow_with_the_network():
+    sizes = []
+    for n, c in ((3, 10), (20, 20)):
+        cfg = RunConfig(protocol="mdmca", termination="controlled", n_nodes=n, pool_size=c,
+                        similarity=2, pr=PrParams.off(), seed=4)
+        result = experiments._execute((0, 0, cfg))
+        assert not hasattr(result, "final_dnl")
+        assert result == engine.run_once(cfg).summary()
+        sizes.append(len(pickle.dumps(result)))
+    assert abs(sizes[0] - sizes[1]) <= 4
 
 
 def test_fixed_topology_shares_deployments_across_cells():
@@ -475,6 +524,20 @@ def test_cli_rejects_a_bad_similarity_before_any_run(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_cli_rejects_an_unwritable_output_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_once", _raise(AssertionError("a replication ran")))
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text(GRID_TEXT)
+    out, missing = tmp_path / "agg.csv", tmp_path / "no" / "such.csv"
+    for command in (RUN_ARGS, ["sweep", "--config", str(cfg)], ["paper", "scale", "--runs", "1"]):
+        assert main(command + ["--out", str(missing)]) == 2
+        assert _one_error_line(capsys) == (
+            f"rendezsim: [Errno 2] No such file or directory: '{missing}'\n")
+        assert main(command + ["--out", str(out), "--runs-out", str(tmp_path)]) == 2
+        assert _one_error_line(capsys) == f"rendezsim: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not out.exists()
+
+
 def test_cli_rejects_fewer_than_one_channel_in_one_line(tmp_path, capsys):
     out = tmp_path / "agg.csv"
     for channels in ("0", "-4"):
@@ -522,6 +585,21 @@ def test_cli_audit_rejects_a_short_row(tmp_path, capsys):
         runs_out.write_text(text + bad_row + "\n")
         assert main(["audit", str(runs_out)]) == 2
         assert error in _one_error_line(capsys)
+
+
+def test_cli_audit_names_the_row_of_a_malformed_cell(tmp_path, capsys):
+    runs_out = tmp_path / "runs.csv"
+    main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])
+    capsys.readouterr()
+    text = runs_out.read_text()
+    cells = text.splitlines()[-1].split(",")
+    cells[9] = "x"                                  # topo_seed
+    bad_row = ",".join(cells)
+    runs_out.write_text(text + bad_row + "\n")
+    assert main(["audit", str(runs_out)]) == 2
+    assert _one_error_line(capsys) == (
+        f"rendezsim: {runs_out}: row {bad_row!r}: "
+        "invalid literal for int() with base 10: 'x'\n")
 
 
 def test_console_entry_point_runs():
