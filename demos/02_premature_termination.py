@@ -44,8 +44,8 @@ def main():
 
     atm = statistics.mean(r.ctm for r in baseline)
     short = sum(r.ctm < 100.0 for r in baseline)
-    t_base = statistics.mean(r.node_mean("policy") for r in baseline)
-    t_ctrl = statistics.mean(r.node_mean("policy") for r in controlled)
+    t_base = statistics.mean(r.summary().policy for r in baseline)
+    t_ctrl = statistics.mean(r.summary().policy for r in controlled)
 
     print(f"N-1 termination over {len(baseline)} runs (same deployments):")
     print(f"  runs that froze an incomplete topology: {short} "
@@ -61,8 +61,8 @@ def main():
 
     # the delay the N-1 rule hides: keep running until the topology is right
     full = replicate("mdmca", "run_to_full", runs=RUNS)
-    ptdd = (statistics.mean(r.node_mean("full") for r in full)
-            - statistics.mean(r.node_mean("n1") for r in full))
+    ptdd = (statistics.mean(r.summary().full for r in full)
+            - statistics.mean(r.summary().n1 for r in full))
     print(f"\npost-termination discovery delay (extra slots a stopped network")
     print(f"would still have needed for a correct topology): {ptdd:.1f} slots")
 

@@ -3,7 +3,7 @@
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import replace
 
 from .engine import RunConfig, IncompleteRun, run_once, DEFAULT_MAX_SLOTS
@@ -74,6 +74,7 @@ def _run_and_emit(args, grids, trace=None):
             os.remove(path)
     result, *extras = [run_grid(g, workers=args.workers, trace=trace) for g in grids]
     for extra in extras:
+        result.grids.extend(extra.grids)
         result.aggregate_rows.extend(extra.aggregate_rows)
         result.run_rows.extend(extra.run_rows)
     text = aggregate_csv(result)
@@ -88,6 +89,18 @@ def _run_and_emit(args, grids, trace=None):
     return 0
 
 
+class _TraceFile:
+    """A --trace path opened for writing, so created or truncated, at its first
+    line and closed with stack: a run that fails before then leaves it as it was."""
+
+    def __init__(self, path, stack):
+        self.path, self.stack = path, stack
+
+    def write(self, text):  # later lines go straight to the file's own write
+        self.write = self.stack.enter_context(open(self.path, "w")).write
+        self.write(text)
+
+
 def _cmd_run(args):
     grid = ScenarioGrid(
         name="run", protocols=(args.protocol,), terminations=(args.termination,),
@@ -96,8 +109,9 @@ def _cmd_run(args):
         master_seed=args.seed, fix_topology=args.fix_topology,
     )
     # the first replication is traced inside the grid; the rest run untraced
-    with open(args.trace, "w") if args.trace else nullcontext() as fh:
-        return _run_and_emit(args, [grid], trace=fh)
+    with ExitStack() as stack:
+        trace = _TraceFile(args.trace, stack) if args.trace else None
+        return _run_and_emit(args, [grid], trace=trace)
 
 
 def _cmd_sweep(args):
@@ -122,8 +136,7 @@ def _cmd_audit(args):
     if header != RUN_COLUMNS:
         print(f"audit: unexpected columns {header}", file=sys.stderr)
         return 1
-    mismatches = 0
-    checked = 0
+    mismatches = checked = 0
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(RUN_COLUMNS):
@@ -148,13 +161,13 @@ def _cmd_audit(args):
             raise ValueError(f"{args.csv}: row {line!r}: {exc}") from None
         checked += 1
         try:
-            record = run_once(cfg)
+            summary = run_once(cfg).summary()
         except IncompleteRun as exc:
             mismatches += 1
             print(f"audit: run {row['run_index']}: recorded as completed, "
                   f"replay stopped: {exc}", file=sys.stderr)
             continue
-        replayed = run_row(row["scenario"], row["run_index"], cfg, record)
+        replayed = run_row(row["scenario"], row["run_index"], cfg, summary)
         for col, recorded, value in zip(RUN_COLUMNS, cells, replayed):
             if value != recorded:
                 mismatches += 1

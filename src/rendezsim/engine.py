@@ -10,7 +10,7 @@ from operator import eq, itemgetter
 
 from . import protocol as proto
 from .hopping import make_clock, PROTOCOLS
-from .metrics import ctm, ptm
+from .metrics import ctm, mean_or_none, ptm
 from .pr_activity import PrParams, ChannelOccupancy
 from .topology import deploy, assign_channels
 
@@ -76,7 +76,7 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Timing marks and correctness of one replication.
+    """Timing marks and correctness of one replication of cfg.
 
     Times are in slots at half-slot resolution (multiples of 0.5). t_n1 is the
     first time the N-1 rule held (`check_termination`); t_full the first time
@@ -91,8 +91,7 @@ class RunRecord:
     only each run's summary() and drops the record (experiments.run_grid).
     """
 
-    scenario: tuple
-    seed: int
+    cfg: RunConfig
     slots_used: int
     t_n1: list
     t_full: list
@@ -104,27 +103,18 @@ class RunRecord:
     def t_term(self):
         """The N-1 stop, t_n1; run_to_full has none (all None): its nodes stop
         at t_full, which the CSVs report as ttr_full and attr_full."""
-        if self.scenario[1] == proto.RUN_TO_FULL:  # see RunConfig.scenario_key
+        if self.cfg.termination == proto.RUN_TO_FULL:
             return [None] * len(self.t_n1)
         return self.t_n1
 
-    def node_mean(self, which):
-        marks = {"n1": self.t_n1, "full": self.t_full, "policy": self.t_term}[which]
-        if any(t is None for t in marks):
-            return None
-        return sum(marks) / len(marks)
-
     def summary(self):
-        return RunSummary(self.scenario, self.ctm, *map(self.node_mean, ("policy", "n1", "full")))
+        return RunSummary(self.cfg.scenario_key(), self.ctm,
+                          *map(mean_or_none, (self.t_term, self.t_n1, self.t_full)))
 
 
-class RunSummary(namedtuple("RunSummary", "scenario ctm policy n1 full")):
-    """What CSV rows and metrics.aggregate read of a run, via node_mean(which)."""
-
-    __slots__ = ()
-
-    def node_mean(self, which):
-        return getattr(self, which)
+RunSummary = namedtuple("RunSummary", "scenario ctm policy n1 full")
+RunSummary.__doc__ = """What rows and aggregates read of a run: its cfg.scenario_key(), CTM
+and the node means of t_term, t_n1 and t_full (None if a node lacks its mark)."""
 
 
 def resolve_half_slot(meets, occupancy, half_slot_index):
@@ -281,6 +271,5 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                         trace.write(f"{slot} {half} {i} - terminate dnl={sorted(st.dnl)}\n")
         slot += 1
 
-    return RunRecord(scenario=cfg.scenario_key(), seed=cfg.seed, slots_used=slot,
-                     t_n1=t_n1, t_full=t_full, ptm=ptm_values, ctm=ctm(ptm_values),
-                     final_dnl=[frozenset(st.dnl) for st in states])
+    return RunRecord(cfg=cfg, slots_used=slot, t_n1=t_n1, t_full=t_full, ptm=ptm_values,
+                     ctm=ctm(ptm_values), final_dnl=[frozenset(st.dnl) for st in states])

@@ -93,25 +93,25 @@ def _execute(item):
         return None
 
 
-def run_row(scenario, run_index, cfg, record):
+def run_row(scenario, run_index, cfg, summary):
     """One per-run CSV row (list of strings) in RUN_COLUMNS order.
 
-    record is None for a run that hit the safety cap; its row is flagged
+    summary is None for a run that hit the safety cap; its row is flagged
     `incomplete` and leaves the timing and accuracy cells empty.
     """
     row = [scenario, *cfg.scenario_key(), str(run_index), str(cfg.seed),
            fmt(cfg.topo_seed), fmt(cfg.chan_seed)]
-    if record is None:
+    if summary is None:
         return row + ["", "", "", "", "incomplete"]
-    return row + [fmt(record.node_mean("policy")), fmt(record.node_mean("n1")),
-                  fmt(record.node_mean("full")), fmt(record.ctm), "yes"]
+    return row + [fmt(summary.policy), fmt(summary.n1), fmt(summary.full),
+                  fmt(summary.ctm), "yes"]
 
 
 @dataclass
 class GridResult:
-    """Per-run rows in (cell, run) order and aggregate rows; merging extends both."""
+    """Per-run rows in (cell, run) order and aggregate rows of grids; merging extends all three."""
 
-    grid: ScenarioGrid
+    grids: list
     run_rows: list
     aggregate_rows: list
 
@@ -151,23 +151,24 @@ def run_grid(grid, workers=1, trace=None):
         summaries += map(_execute, rest)
     results = sorted((item + (s,) for item, s in zip(items, summaries)), key=itemgetter(0, 1))
 
-    run_rows = [run_row(grid.name, run_index, cfg, record)
-                for _, run_index, cfg, record in results]
+    run_rows = [run_row(grid.name, run_index, cfg, summary)
+                for _, run_index, cfg, summary in results]
     aggregate_rows = []
     for _, cell in groupby(results, itemgetter(0)):
         cell = list(cell)
-        records = [record for *_, record in cell if record is not None]
-        if records:
-            aggregate_rows.append(aggregate_row(grid.name, cell[0][2], aggregate(records)))
-    return GridResult(grid=grid, run_rows=run_rows, aggregate_rows=aggregate_rows)
+        completed = [summary for *_, summary in cell if summary is not None]
+        if completed:
+            aggregate_rows.append(aggregate_row(grid.name, cell[0][2], aggregate(completed)))
+    return GridResult(grids=[grid], run_rows=run_rows, aggregate_rows=aggregate_rows)
 
 
 def _csv_text(columns, rows, result):
     from . import __version__
-    grid = result.grid
+    grid = result.grids[0]  # sub-grids share the name and master seed
+    hashes = "+".join(g.grid_hash() for g in result.grids)
     lines = [
         f"# rendezsim {__version__}",
-        f"# grid {grid.name} hash={grid.grid_hash()} master_seed={grid.master_seed}",
+        f"# grid {grid.name} hash={hashes} master_seed={grid.master_seed}",
         f"# incomplete_runs={result.incomplete} (flagged rows excluded from means)",
         "# time unit: slots at half-slot resolution; ttr_full uses first "
         "half-slot with N-1 and DNL equal to ground truth",

@@ -14,7 +14,7 @@ Z95 = 1.96
 
 
 class AggregationError(ValueError):
-    """An aggregation over no records or over mixed scenarios."""
+    """An aggregation over no runs or over mixed scenarios."""
 
 
 def ptm(discovered_dnl, ground_dnl):
@@ -35,6 +35,11 @@ def ctm(ptm_values):
     if not values:
         raise ValueError("need at least one PTM value")
     return sum(values) / len(values)
+
+
+def mean_or_none(values):
+    """Arithmetic mean, or None when some value is None (a missing mark)."""
+    return None if None in values else sum(values) / len(values)
 
 
 def _ci95(values):
@@ -58,35 +63,33 @@ class AggregateMetrics:
     atm_ci95: float
 
 
-def aggregate(records):
-    """ATTR/ATM/PTDD with 95% half-widths over one scenario's records.
+def aggregate(summaries):
+    """ATTR/ATM/PTDD with 95% half-widths over one scenario's run summaries.
 
-    An ATTR is the mean over runs of each run's node mean of one time mark
-    (policy stop, first N-1, first full discovery), taken once per record,
-    and None when some run lacks the mark; PTDD is attr_full - attr_n1. The
-    ATTR half-width is over the policy marks, or over the full-discovery
-    marks when the policy never fired.
+    summaries are engine.RunSummary values. An ATTR is the mean over runs of
+    one node-mean field (policy stop, first N-1, first full discovery), and
+    None when some run lacks the mark; PTDD is attr_full - attr_n1. The ATTR
+    half-width is over the policy means, or over the full-discovery means
+    when the policy never fired.
     """
-    if not records:
-        raise AggregationError("no run records to aggregate")
-    keys = {r.scenario for r in records}
+    if not summaries:
+        raise AggregationError("no runs to aggregate")
+    keys = {s.scenario for s in summaries}
     if len(keys) > 1:
         raise AggregationError(f"mixed scenarios in aggregation: {sorted(keys)}")
-    means = {which: [r.node_mean(which) for r in records]
-             for which in ("policy", "n1", "full")}
-    attrs = {which: None if None in m else sum(m) / len(m)
-             for which, m in means.items()}
-    n1, full = attrs["n1"], attrs["full"]
-    primary = "policy" if attrs["policy"] is not None else "full"
-    ctm_values = [r.ctm for r in records]
+    policy = [s.policy for s in summaries]
+    n1 = [s.n1 for s in summaries]
+    full = [s.full for s in summaries]
+    ctm_values = [s.ctm for s in summaries]
+    attr_policy, attr_n1, attr_full = map(mean_or_none, (policy, n1, full))
     return AggregateMetrics(
-        runs=len(records),
-        attr_policy=attrs["policy"],
-        attr_n1=n1,
-        attr_full=full,
+        runs=len(summaries),
+        attr_policy=attr_policy,
+        attr_n1=attr_n1,
+        attr_full=attr_full,
         atm=sum(ctm_values) / len(ctm_values),
-        ptdd=None if n1 is None or full is None else full - n1,
-        attr_ci95=_ci95(means[primary]),
+        ptdd=None if attr_n1 is None or attr_full is None else attr_full - attr_n1,
+        attr_ci95=_ci95(full if attr_policy is None else policy),
         atm_ci95=_ci95(ctm_values),
     )
 

@@ -25,10 +25,7 @@ class GroundTopology:
 
 
 def _is_connected(adj):
-    if not adj:
-        return False
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
         u = stack.pop()
         for v in adj[u]:
@@ -75,7 +72,7 @@ def deploy(n_nodes, area, r, rng_seed, max_attempts=DEFAULT_ATTEMPT_CAP):
         if topo is not None:
             return topo
     raise DeploymentError(
-        f"no connected placement of {n_nodes} nodes in {width}x{height} m "
+        f"no connected placement of {n_nodes} nodes in {width:.1f}x{height:.1f} m "
         f"with r={r} m after {max_attempts} attempts; "
         f"density infeasible (r too small for the area?)"
     )
@@ -97,9 +94,6 @@ def assign_channels(n_nodes, pool_size, similarity, rng_seed):
     extras = [c for c in pool if c not in common]
     sets = []
     for _ in range(n_nodes):
-        chans = set(common)
-        for c in extras:
-            if rng.random() < 0.5:
-                chans.add(c)
+        chans = common | {c for c in extras if rng.random() < 0.5}
         sets.append(tuple(sorted(chans)))
     return tuple(sets)

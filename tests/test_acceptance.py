@@ -55,7 +55,7 @@ def run_cell(protocol, termination, n, c, m, pr, runs, cap=60_000,
 
 
 def attr_of(records, which):
-    return statistics.mean(r.node_mean(which) for r in records)
+    return statistics.mean(getattr(r.summary(), which) for r in records)
 
 
 def atm_of(records):
@@ -81,7 +81,7 @@ def test_criterion_1_controlled_termination_always_fully_correct():
                 skipped += inc
                 for rec in records:
                     assert rec.ctm == 100.0, (
-                        f"run seed {rec.seed} terminated with ATM {rec.ctm}")
+                        f"run seed {rec.cfg.seed} terminated with ATM {rec.ctm}")
                 checked += len(records)
     print(f"PASS criterion 1: ATM=100.0000 in all {checked} controlled runs "
           f"({skipped} capped runs excluded)")
@@ -115,8 +115,7 @@ def test_criterion_3_ptdd_sign_and_magnitude():
         for pr in ("off", "high"):
             records, _ = run_cell(protocol, "run_to_full", 10, 10, 2, pr,
                                   runs=500)
-            delays = [rec.node_mean("full") - rec.node_mean("n1")
-                      for rec in records]
+            delays = [s.full - s.n1 for s in (rec.summary() for rec in records)]
             assert ci95_above_zero(delays), f"{protocol}/{pr} PTDD not > 0"
 
     # magnitude within a factor of two of the reference delays

@@ -115,11 +115,7 @@ def test_importing_the_cli_loads_no_process_pool():
 def test_run_summaries_give_the_rows_and_aggregates_of_their_records(termination):
     cfgs = [RunConfig(protocol="mdmca", termination=termination, n_nodes=5, pool_size=10,
                       similarity=2, pr=PrParams.off(), seed=seed) for seed in range(6)]
-    records = [engine.run_once(cfg) for cfg in cfgs]
-    summaries = [record.summary() for record in records]
-    for k, (cfg, record, summary) in enumerate(zip(cfgs, records, summaries)):
-        assert run_row("s", k, cfg, summary) == run_row("s", k, cfg, record)
-    assert aggregate(summaries) == aggregate(records)
+    summaries = [engine.run_once(cfg).summary() for cfg in cfgs]
     assert (aggregate(summaries).attr_policy is None) == (termination == "run_to_full")
 
 
@@ -172,7 +168,7 @@ def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
     unordered = []
     for cell_index, run_index, cfg in sorted(_run_configs(grid), key=lambda it: it[:2]):
         engine._deployment.cache_clear()
-        unordered.append(run_row(grid.name, run_index, cfg, engine.run_once(cfg)))
+        unordered.append(run_row(grid.name, run_index, cfg, engine.run_once(cfg).summary()))
     assert result.run_rows == unordered
     assert len(calls) == 6 + 30
 
@@ -381,6 +377,16 @@ def test_cli_paper_counts_capped_runs_of_both_sub_grids(tmp_path, monkeypatch):
     assert [l.split(",")[1] for l in flagged] == ["rcs", "mrdmca"]
 
 
+def test_paper_baseline_header_names_the_hash_of_both_sub_grids(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "run_once", _raise(IncompleteRun("safety cap reached")))
+    out, runs_out = tmp_path / "paper.csv", tmp_path / "runs.csv"
+    assert main(["paper", "baseline", "--runs", "1", "--out", str(out),
+                 "--runs-out", str(runs_out)]) == 0
+    first, second = (g.grid_hash() for g in paper_grid("baseline", runs=1))
+    for path in (out, runs_out):
+        assert f"# grid baseline hash={first}+{second} master_seed=0\n" in path.read_text()
+
+
 def test_cli_rejects_bad_input(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "missing.txt")])
     assert rc == 2
@@ -443,6 +449,26 @@ def test_cli_traces_the_first_replication_inside_the_written_run(tmp_path, monke
     assert calls[0] == (seeds["0"], True)   # run 0 is the traced one
     assert calls[1] == (seeds["1"], False)
     assert " select " in trace.read_text()
+
+
+def test_cli_leaves_the_trace_path_as_it_was_when_it_fails_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_text("an earlier trace\n")
+
+    def fails(args):
+        for trace in (kept, new):
+            assert main(args + ["--trace", str(trace)]) == 2
+            _one_error_line(capsys)
+
+    fails(RUN_ARGS + ["--workers", "0"])
+    fails(RUN_ARGS + ["--out", str(tmp_path / "no" / "agg.csv")])
+    fails(_with(RUN_ARGS, "--similarity", "11"))
+    # the traced replication itself fails before writing its first line
+    monkeypatch.setattr(engine, "_deployment", _raise(DeploymentError("no placement")))
+    fails(RUN_ARGS)
+    assert kept.read_text() == "an earlier trace\n"
+    assert not new.exists()
 
 
 def _with(args, flag, value):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rendezsim.engine import RunConfig, run_once
+from rendezsim.engine import RunConfig, RunRecord, run_once
 from rendezsim.metrics import (
     AGGREGATE_COLUMNS,
     AggregationError,
@@ -15,21 +15,12 @@ from rendezsim.metrics import (
 from rendezsim.pr_activity import PrParams
 
 
-class FakeRecord:
-    """Minimal stand-in with the fields the aggregation layer reads."""
-
-    def __init__(self, scenario="s", seed=0, t_term=None, t_n1=None,
-                 t_full=None, ctm=100.0):
-        self.scenario = scenario
-        self.seed = seed
-        self._marks = {"policy": t_term, "n1": t_n1, "full": t_full}
-        self.ctm = ctm
-
-    def node_mean(self, which):
-        marks = self._marks[which]
-        if marks is None or any(t is None for t in marks):
-            return None
-        return sum(marks) / len(marks)
+def record(t_n1, t_full=None, ctm=100.0, protocol="rcs", termination="baseline"):
+    """A hand-built RunRecord with the given marks (t_full None: never full)."""
+    cfg = RunConfig(protocol=protocol, termination=termination, n_nodes=10,
+                    pool_size=10, similarity=2, pr=PrParams.off())
+    return RunRecord(cfg=cfg, slots_used=0, t_n1=t_n1, t_full=t_full or [None] * len(t_n1),
+                     ptm=[ctm] * len(t_n1), ctm=ctm, final_dnl=[])
 
 
 def test_ptm_partial_hit():
@@ -51,15 +42,17 @@ def test_ctm_examples():
         ctm([])
 
 
-def test_attr_single_run_node_mean():
-    rec = FakeRecord(t_term=[2.0, 4.0])
-    assert aggregate([rec]).attr_policy == 3.0
+def test_attr_single_run_mean_over_nodes():
+    summary = record([2.0, 4.0]).summary()
+    assert (summary.policy, summary.n1, summary.full) == (3.0, 3.0, None)
+    assert aggregate([summary]).attr_policy == 3.0
 
 
 def test_attr_is_a_nested_mean():
     # per-run node means first, then the mean over runs: the 3-node run does
     # not get more weight than the 1-node value would suggest
-    runs = [FakeRecord(t_term=[2.0, 4.0, 3.0]), FakeRecord(t_term=[5.0])]
+    runs = [record([2.0, 4.0, 3.0]).summary(), record([5.0]).summary()]
+    assert [s.policy for s in runs] == [3.0, 5.0]
     assert aggregate(runs).attr_policy == 4.0
 
 
@@ -69,15 +62,16 @@ def test_aggregate_without_runs_raises():
 
 
 def test_mixed_scenarios_rejected():
-    runs = [FakeRecord(scenario="a", t_term=[1.0]),
-            FakeRecord(scenario="b", t_term=[1.0])]
+    runs = [record([1.0], protocol="rcs").summary(),
+            record([1.0], protocol="mca").summary()]
     with pytest.raises(AggregationError):
         aggregate(runs)
 
 
 def test_ptdd_is_full_minus_n1():
-    runs = [FakeRecord(t_n1=[10.0, 12.0], t_full=[15.0, 19.0]),
-            FakeRecord(t_n1=[8.0], t_full=[10.0])]
+    runs = [record([10.0, 12.0], t_full=[15.0, 19.0]).summary(),
+            record([8.0], t_full=[10.0]).summary()]
+    assert [(s.n1, s.full) for s in runs] == [(11.0, 17.0), (8.0, 10.0)]
     agg = aggregate(runs)
     assert agg.attr_full == (17.0 + 10.0) / 2
     assert agg.attr_n1 == (11.0 + 8.0) / 2
@@ -85,8 +79,8 @@ def test_ptdd_is_full_minus_n1():
 
 
 def test_aggregate_handles_runs_without_policy_marks():
-    runs = [FakeRecord(t_n1=[4.0], t_full=[6.0], ctm=100.0),
-            FakeRecord(t_n1=[6.0], t_full=[10.0], ctm=100.0)]
+    runs = [record([4.0], t_full=[6.0], termination="run_to_full").summary(),
+            record([6.0], t_full=[10.0], termination="run_to_full").summary()]
     agg = aggregate(runs)
     assert agg.attr_policy is None
     assert agg.attr_n1 == 5.0
@@ -97,8 +91,7 @@ def test_aggregate_handles_runs_without_policy_marks():
 
 
 def test_ci95_halfwidth():
-    runs = [FakeRecord(t_term=[3.0], ctm=90.0),
-            FakeRecord(t_term=[5.0], ctm=100.0)]
+    runs = [record([3.0], ctm=90.0).summary(), record([5.0], ctm=100.0).summary()]
     agg = aggregate(runs)
     # sample std of [3,5] is sqrt(2); 1.96 * sqrt(2)/sqrt(2) = 1.96
     assert agg.attr_ci95 == pytest.approx(1.96)
@@ -121,7 +114,7 @@ def test_metrics_match_independent_recomputation_on_real_runs():
         scores = [100.0 * len(rec.final_dnl[i] & topo.dnl_star[i])
                   / len(topo.dnl_star[i]) for i in range(5)]
         assert rec.ctm == pytest.approx(sum(scores) / 5)
-    assert aggregate(records).attr_policy == pytest.approx(
+    assert aggregate([r.summary() for r in records]).attr_policy == pytest.approx(
         sum(sum(r.t_term) / 5 for r in records) / 5)
 
 
@@ -131,8 +124,7 @@ def test_fmt_and_row_layout():
     assert fmt(7) == "7"
     cfg = RunConfig(protocol="rcs", termination="baseline", n_nodes=10,
                     pool_size=10, similarity=2, pr=PrParams.high())
-    runs = [FakeRecord(t_term=[3.0], t_n1=[3.0], ctm=90.0),
-            FakeRecord(t_term=[5.0], t_n1=[5.0], ctm=100.0)]
+    runs = [record([3.0], ctm=90.0).summary(), record([5.0], ctm=100.0).summary()]
     row = aggregate_row("demo", cfg, aggregate(runs))
     assert len(row) == len(AGGREGATE_COLUMNS)
     assert row[:8] == ["demo", "rcs", "baseline", "10", "10", "2", "high", "2"]

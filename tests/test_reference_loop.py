@@ -125,7 +125,7 @@ def reference_run_once(cfg, topo=None, chans=None, trace=None):
             half_index += 1
         slot += 1
 
-    return RunRecord(scenario=cfg.scenario_key(), seed=cfg.seed, slots_used=slot,
+    return RunRecord(cfg=cfg, slots_used=slot,
                      t_n1=t_n1, t_full=t_full, ptm=ptm_values, ctm=ctm(ptm_values),
                      final_dnl=[frozenset(st.dnl) for st in states])
 

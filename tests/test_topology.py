@@ -78,6 +78,15 @@ def test_infeasible_density_raises_deployment_error():
         deploy(10, (100000.0, 100000.0), 1.0, rng_seed=0, max_attempts=20)
 
 
+def test_deployment_error_gives_the_area_to_a_tenth_of_a_metre_on_one_line():
+    side = 100.0 * 0.99 * math.sqrt(50)  # engine.default_area_side(50), 700.0357... m
+    with pytest.raises(DeploymentError) as err:
+        deploy(50, (side, side), 100.0, rng_seed=0, max_attempts=20)
+    message = str(err.value)
+    assert "of 50 nodes in 700.0x700.0 m with r=100.0 m after 20 attempts;" in message
+    assert "\n" not in message
+
+
 def test_deploy_is_deterministic_in_the_seed():
     a = deploy(6, (300.0, 300.0), 100.0, rng_seed=11)
     b = deploy(6, (300.0, 300.0), 100.0, rng_seed=11)
