@@ -2,8 +2,9 @@
 
 Provides random connected deployments, ON/OFF primary-radio activity,
 dual-modular-clock and baseline channel-hopping engines, a coordinate-assisted
-neighbour-discovery protocol with one N-1 stopping rule under three
-termination modes, and the ATTR/ATM/PTDD metric pipeline.
+neighbour-discovery protocol whose three termination modes are stop rules
+over two marks per node (all N heard of; that and a correct DNL), and the
+ATTR/ATM/PTDD metric pipeline.
 """
 
 from .topology import GroundTopology, DeploymentError, deploy, assign_channels

@@ -64,8 +64,8 @@ class RunConfig:
     def validate_coords(self):
         # coordinate validation is the MR- enhancement; it is always on for
         # mrdmca and switched on for every protocol under controlled
-        # termination (the MR- variants of the controlled scenario), which is
-        # what makes the shared N-1 stop safe there
+        # termination (the MR- variants of the controlled scenario); it only
+        # picks which of run_once's two marks the N-1 count is
         return self.protocol == "mrdmca" or self.termination == proto.CONTROLLED
 
     def scenario_key(self):
@@ -78,11 +78,12 @@ class RunConfig:
 class RunRecord:
     """Timing marks and correctness of one replication of cfg.
 
-    Times are in slots at half-slot resolution (multiples of 0.5). t_n1 is the
-    first time the N-1 rule held (`check_termination`); t_full the first time
-    it held with DNL equal to ground truth. ptm/ctm are taken on the DNL frozen
-    at each node's stop mark (t_n1, or t_full under run_to_full), where a
-    traced run writes the node's `terminate` line.
+    Times are in slots at half-slot resolution (multiples of 0.5). t_full is
+    the first time a node had heard of all N nodes with DNL equal to ground
+    truth. t_n1 is the first time the paper's N-1 count held: t_full under
+    coordinate validation, else the first time the node had heard of all N.
+    ptm/ctm are taken on the DNL frozen at each node's stop mark (t_n1, or
+    t_full under run_to_full), where a traced run writes its `terminate` line.
 
     A stopped node keeps serving until the run ends (see run_once), so
     final_dnl is each DNL at the run's end, and a t_full after the stop mark
@@ -223,10 +224,10 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     edges = [(i, j) for i in nodes for j in sorted(neighbour_sets[i]) if i < j]
     firsts = _picker([i for i, _ in edges])
     seconds = _picker([j for _, j in edges])
-    in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
-    states = [proto.NodeState(i, in_range[i]) for i in range(n)]
+    states = [proto.NodeState(i) for i in nodes]
 
-    t_n1, t_full, ptm_values = [None] * n, [None] * n, [None] * n  # ptm set at stop marks
+    t_heard, t_full, ptm_values = [None] * n, [None] * n, [None] * n  # ptm set at stop marks
+    t_n1 = t_full if cfg.validate_coords else t_heard  # where the paper's N-1 count holds
     stops = t_full if cfg.termination == proto.RUN_TO_FULL else t_n1
 
     slot = half_index = 0
@@ -261,8 +262,8 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                 st = states[i]
                 if not proto.check_termination(st, n):
                     continue
-                if t_n1[i] is None:
-                    t_n1[i] = tnow
+                if t_heard[i] is None:
+                    t_heard[i] = tnow
                 if t_full[i] is None and st.dnl == neighbour_sets[i]:
                     t_full[i] = tnow
                 if stops[i] == tnow:  # the stop mark was set just now

@@ -69,12 +69,14 @@ class PrParams:
 
     @property
     def name(self):
+        """off, high or lambda_x:lambda_y, each rate in :g unless that changes it,
+        so from_name(p.name) == p for off(), high() and every pair of valid rates."""
         if not self.enabled:
             return "off"
-        if (math.isclose(self.lambda_x, 1.0 / HIGH_MEAN_OFF)
-                and math.isclose(self.lambda_y, 1.0 / HIGH_MEAN_ON)):
+        if self == self.high():
             return "high"
-        return f"{self.lambda_x:g}:{self.lambda_y:g}"
+        return ":".join(f"{rate:g}" if float(f"{rate:g}") == rate else repr(rate)
+                        for rate in (self.lambda_x, self.lambda_y))
 
 
 class ChannelOccupancy:

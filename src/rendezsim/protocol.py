@@ -2,47 +2,41 @@
 
 A node keeps two sets of node ids: `known`, every node it has heard of
 (itself included), and `dnl`, the peers it verified by a completed direct
-handshake. The paper's other two tables are views of these and the node's
-fixed in-range set:
+handshake. The paper's other two tables are views of these and of what the
+node can confirm to be in range: nothing without coordinate validation, and
+with it DNL*, its true neighbours, which the deployment finds by the same
+inclusive `hypot(dx, dy) <= r` test a node applies to gossiped coordinates.
+Unverified in-range nodes are IDN (pending) and the rest of
+`known - dnl - {node_id}` is INL (indirect).
 
-    IDN (handshake pending) = known & in_range - dnl
-    INL (indirect)          = known - dnl - in_range - {node_id}
-
-A node without coordinate validation can confirm nothing as in range, so its
-in-range set is empty and everything it hears but has not verified is INL,
-which is exactly the classification that makes N-1 termination premature.
-
-Every stopping policy uses the same N-1 rule (`check_termination`); the
-controlled policy is that rule under coordinate validation, where a pending
-IDN entry already keeps the count short.
+Controlled termination is "stop at full discovery". Under validation a
+pending IDN entry never counts, so |DNL| + |INL| = N-1 holds exactly when
+all N nodes are known and DNL = DNL*. Without validation nothing is pending,
+so the same count fires on hearsay alone: the premature stop. The engine
+therefore marks when a node has heard of all N (`check_termination`) and
+when, besides, its DNL is right; each policy picks the mark that stops it.
 
 Stopping freezes only the topology a node reports. A stopped node keeps
 handshaking, as its neighbours may learn a far node only through it.
 """
 
-BASELINE = "baseline"        # stop at the first N-1 mark
-CONTROLLED = "controlled"    # the same, with coordinate validation
-RUN_TO_FULL = "run_to_full"  # never stop at N-1; stop at full discovery
+BASELINE = "baseline"        # stop at the paper's N-1 count
+CONTROLLED = "controlled"    # the same count, validated: stop at full discovery
+RUN_TO_FULL = "run_to_full"  # stop at full discovery, whatever the count says
 TERMINATION_MODES = (BASELINE, CONTROLLED, RUN_TO_FULL)
 
 
 class NodeState:
     """What one node has heard of (`known`) and verified (`dnl`).
 
-    in_range is the set of gossiped nodes the owner can confirm to be within
-    transmission range. With coordinate validation it is
-    `topo.dnl_star[node_id]`: the deployment computes that set with the same
-    inclusive `hypot(dx, dy) <= r` test a node would apply to the true
-    coordinates gossiped with each table entry, so membership in it is the
-    coordinate check of the validating protocol. Without validation it is
-    empty.
+    Nothing here depends on the policy: whether the node validates
+    coordinates changes only which of the engine's marks stops it.
     """
 
-    __slots__ = ("node_id", "in_range", "known", "dnl")
+    __slots__ = ("node_id", "known", "dnl")
 
-    def __init__(self, node_id, in_range):
+    def __init__(self, node_id):
         self.node_id = node_id
-        self.in_range = in_range
         self.known = {node_id}
         self.dnl = set()
 
@@ -60,12 +54,11 @@ def process_handshake(a, b):
 
 
 def check_termination(state, n_nodes):
-    """The N-1 rule |DNL| + |INL| = N-1, read off the two sets.
+    """Whether the node has heard of all N nodes.
 
-    Under validation dnl is a subset of in_range (only in-range pairs
-    handshake) and INL never holds an in-range node, so the count holds
-    exactly when the node has heard of all N nodes and has verified its
-    whole in-range set. Without validation in_range is empty, so the rule
-    fires on hearsay alone: that is the premature stop.
+    This is the paper's |DNL| + |INL| = N-1 without validation. With it the
+    count also needs DNL = DNL* (only in-range pairs handshake, so DNL is a
+    subset of DNL*, and an unverified in-range node stays pending): stop at
+    full discovery.
     """
-    return len(state.known) == n_nodes and state.in_range <= state.dnl
+    return len(state.known) == n_nodes

@@ -271,6 +271,38 @@ def test_stopped_nodes_keep_handshaking(tmp_path):
     assert after_stop > 0
 
 
+def test_a_run_does_not_depend_on_its_termination_policy():
+    # nothing in a half-slot reads a node's tables, so a seed's handshakes,
+    # and with them both marks, are the same under every policy and with or
+    # without validation: a policy only picks the mark that stops a node
+    def run(protocol, termination, **cell):
+        try:
+            return run_once(make_cfg(protocol=protocol, termination=termination,
+                                     max_slots=5000, **cell))
+        except IncompleteRun:
+            return None
+
+    capped = 0
+    for n_nodes in (3, 5, 10):
+        for pr in (PrParams.off(), PrParams.high()):
+            for seed in range(25):
+                cell = dict(n_nodes=n_nodes, pr=pr, seed=seed)
+                full = run("mdmca", "run_to_full", **cell)
+                controlled = [run("mdmca", "controlled", **cell), run("mrdmca", "controlled", **cell)]
+                if full is None:
+                    assert controlled == [None, None]
+                    capped += 1
+                    continue
+                for rec in controlled:
+                    assert rec.t_n1 == rec.t_full == full.t_full
+                    assert rec.final_dnl == full.final_dnl
+                    assert rec.slots_used == full.slots_used
+                baseline = run("mdmca", "baseline", **cell)
+                assert baseline.t_n1 == full.t_n1
+                assert all(t in (None, f) for t, f in zip(baseline.t_full, full.t_full))
+    assert capped < 5  # starved deployments cap under every policy alike
+
+
 def test_time_marks_are_ordered():
     for seed in range(10):
         cfg = make_cfg(protocol="mdmca", termination="run_to_full",

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rendezsim.pr_activity import MAX_RATE, ChannelOccupancy, PrParams
+from rendezsim.pr_activity import HIGH_MEAN_OFF, HIGH_MEAN_ON, MAX_RATE, ChannelOccupancy, PrParams
 
 
 def test_disabled_process_is_never_busy():
@@ -35,6 +35,18 @@ def test_from_name_roundtrip():
     assert PrParams.from_name(custom.name) == custom
     with pytest.raises(ValueError):
         PrParams.from_name("medium")
+
+
+def test_every_level_comes_back_from_its_name():
+    # a per-run CSV records the name, and audit replays the level it reads
+    assert [p.name for p in (PrParams.off(), PrParams.high(), PrParams(3.5, 2.25))] == [
+        "off", "high", "3.5:2.25"]
+    rng = random.Random(5)
+    levels = [PrParams(3.3333337, 2.2222227), PrParams(1 / 3, 1000.0),
+              PrParams(math.nextafter(1 / HIGH_MEAN_OFF, 1.0), 1 / HIGH_MEAN_ON)]
+    levels += [PrParams(rng.uniform(1e-6, 10.0), rng.uniform(1e-6, MAX_RATE)) for _ in range(200)]
+    for p in levels:
+        assert PrParams.from_name(p.name) == p, p
 
 
 def test_invalid_rates_rejected():

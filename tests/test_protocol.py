@@ -8,27 +8,32 @@ from rendezsim.protocol import NodeState, check_termination, process_handshake
 from rendezsim.topology import _build_topology, deploy
 
 
-def make_node(node_id, validate, in_range=()):
-    # a node without coordinate validation can confirm no gossiped node in range
-    return NodeState(node_id, frozenset(in_range) if validate else frozenset())
+def views(node, in_range):
+    """The paper's (DNL, INL, IDN) tables of a node that can confirm in_range.
 
-
-def views(node):
-    """The paper's (DNL, INL, IDN) tables, by the protocol module's formulas."""
-    inl = node.known - node.dnl - node.in_range - {node.node_id}
-    idn = node.known & node.in_range - node.dnl
+    in_range is the node's true neighbours under coordinate validation and
+    empty without it: a node that cannot validate confirms nothing in range.
+    """
+    inl = node.known - node.dnl - in_range - {node.node_id}
+    idn = node.known & in_range - node.dnl
     return node.dnl, inl, idn
+
+
+def n1_count(node, in_range):
+    """The paper's |DNL| + |INL|, which stops a node when it reaches N-1."""
+    dnl, inl, _ = views(node, in_range)
+    return len(dnl) + len(inl)
 
 
 def peer_knowing(node_id, learned):
     # a handshake peer that has already heard of every node in learned
-    peer = make_node(node_id, validate=False)
+    peer = NodeState(node_id)
     peer.known |= learned
     return peer
 
 
-def table_invariants(state):
-    dnl, inl, idn = views(state)
+def table_invariants(state, in_range):
+    dnl, inl, idn = views(state, in_range)
     assert not dnl & inl
     assert not dnl & idn
     assert not inl & idn
@@ -37,88 +42,84 @@ def table_invariants(state):
 
 
 def test_a_node_stores_what_it_heard_of_and_what_it_verified():
-    assert NodeState.__slots__ == ("node_id", "in_range", "known", "dnl")
-    a = make_node(4, validate=True, in_range={1})
+    assert NodeState.__slots__ == ("node_id", "known", "dnl")
+    a = NodeState(4)
     assert a.known == {4} and a.dnl == set()
-    assert views(a) == (set(), set(), set())
+    assert views(a, {1}) == (set(), set(), set())
 
 
 def test_fresh_two_node_handshake():
-    a = make_node(0, validate=True, in_range={1})
-    b = make_node(1, validate=True, in_range={0})
+    a, b = NodeState(0), NodeState(1)
     process_handshake(a, b)
-    assert views(a) == ({1}, set(), set())
-    assert views(b) == ({0}, set(), set())
-    table_invariants(a)
-    table_invariants(b)
+    assert views(a, {1}) == ({1}, set(), set())
+    assert views(b, {0}) == ({0}, set(), set())
+    table_invariants(a, {1})
+    table_invariants(b, {0})
 
 
 def test_gossiped_in_range_node_lands_in_idn_when_validating():
-    a = make_node(0, validate=True, in_range={1, 2})
+    a = NodeState(0)
     process_handshake(a, peer_knowing(1, {2}))
-    assert views(a) == ({1}, set(), {2})
-    table_invariants(a)
+    assert views(a, {1, 2}) == ({1}, set(), {2})
+    table_invariants(a, {1, 2})
 
 
 def test_gossiped_out_of_range_node_lands_in_inl():
-    a = make_node(0, validate=True, in_range={1})
+    a = NodeState(0)
     process_handshake(a, peer_knowing(1, {2}))
-    assert views(a) == ({1}, {2}, set())
+    assert views(a, {1}) == ({1}, {2}, set())
 
 
 def test_boundary_distance_is_in_range():
     # node 1 sits exactly r away; the deployment's in-range set includes it
     topo = _build_topology([(0.0, 0.0), (100.0, 0.0)], 100.0)
-    a = NodeState(0, topo.dnl_star[0])
+    a = NodeState(0)
     a.known.add(1)
-    assert views(a) == (set(), set(), {1})
+    assert views(a, topo.dnl_star[0]) == (set(), set(), {1})
 
 
 def test_without_validation_everything_learned_goes_to_inl():
-    a = make_node(0, validate=False, in_range={1, 2})
+    a = NodeState(0)
     process_handshake(a, peer_knowing(1, {2, 3}))   # 2 is in range, but a cannot tell
-    assert views(a) == ({1}, {2, 3}, set())
+    assert views(a, frozenset()) == ({1}, {2, 3}, set())
 
 
 def test_dnl_membership_is_final():
     # hearing of a verified node again leaves it verified
-    a = make_node(0, validate=True, in_range={2})
-    b = make_node(2, validate=True, in_range={0})
+    a, b = NodeState(0), NodeState(2)
     process_handshake(a, b)
     process_handshake(a, b)
-    assert views(a) == ({2}, set(), set())
+    assert views(a, {2}) == ({2}, set(), set())
 
 
 def test_direct_handshake_clears_pending_entries():
-    a = make_node(0, validate=True, in_range={1})
+    a = NodeState(0)
     a.known.add(1)
-    assert views(a) == (set(), set(), {1})
-    process_handshake(a, make_node(1, validate=True, in_range={0}))
-    assert views(a) == ({1}, set(), set())
+    assert views(a, {1}) == (set(), set(), {1})
+    process_handshake(a, NodeState(1))
+    assert views(a, {1}) == ({1}, set(), set())
 
 
 def test_node_never_learns_itself():
     # the peer's reply gossips a back to a
-    for validate in (True, False):
-        a = make_node(0, validate=validate, in_range={1})
-        b = make_node(1, validate=validate, in_range={0})
+    for in_range in ({1}, frozenset()):
+        a, b = NodeState(0), NodeState(1)
         process_handshake(a, b)
         assert 0 in b.known
-        assert views(a) == ({1}, set(), set())
-        table_invariants(a)
+        assert views(a, in_range) == ({1}, set(), set())
+        table_invariants(a, in_range)
 
 
 def test_handshake_propagates_tables_both_ways():
     # b already verified node 2; a should hear about it and, being in range
     # of 2, file it under IDN
-    a = make_node(0, validate=True, in_range={1, 2})
-    b = make_node(1, validate=True, in_range={0, 2})
-    process_handshake(b, make_node(2, validate=True, in_range={0, 1}))
+    a, b = NodeState(0), NodeState(1)
+    process_handshake(b, NodeState(2))
     process_handshake(a, b)
-    assert views(a) == ({1}, set(), {2})
+    assert views(a, {1, 2}) == ({1}, set(), {2})
     assert b.dnl == {0, 2}
-    table_invariants(a)
-    table_invariants(b)
+    table_invariants(a, {1, 2})
+    table_invariants(b, {0, 2})
 
 
 class ReferenceNode:
@@ -185,8 +186,8 @@ def test_set_rule_matches_the_coordinate_message_reference():
         edges = sorted((i, j) for i, near in enumerate(topo.dnl_star)
                        for j in near if i < j)
         for validate in (True, False):
-            nodes = [NodeState(i, topo.dnl_star[i] if validate else frozenset())
-                     for i in range(n)]
+            in_range = topo.dnl_star if validate else [frozenset()] * n
+            nodes = [NodeState(i) for i in range(n)]
             refs = [ReferenceNode(i, topo.coords[i], 100.0, validate)
                     for i in range(n)]
             for _ in range(4 * n):
@@ -196,19 +197,16 @@ def test_set_rule_matches_the_coordinate_message_reference():
                 process_handshake(nodes[i], nodes[j])
                 reference_handshake(refs[i], refs[j])
                 for k, (node, ref) in enumerate(zip(nodes, refs)):
-                    assert views(node) == (ref.dnl, ref.inl, ref.idn)
-                    table_invariants(node)
-                    # the one-line rule is the paper's N-1 count
-                    stops = check_termination(node, n)
-                    assert stops == (len(ref.dnl) + len(ref.inl) == n - 1)
-                    # the engine stops every policy on this rule alone: a
-                    # pending verification must already block it, and under
-                    # validation it must only hold on the true neighbours
-                    if stops:
+                    assert views(node, in_range[k]) == (ref.dnl, ref.inl, ref.idn)
+                    table_invariants(node, in_range[k])
+                    # the paper's N-1 count is one of the engine's two marks:
+                    # all N heard of, and under validation DNL = DNL* as well
+                    count = len(ref.dnl) + len(ref.inl) == n - 1
+                    assert count == (check_termination(node, n)
+                                     and (not validate or node.dnl == topo.dnl_star[k]))
+                    if count:
                         fired[validate] += 1
-                        assert not views(node)[2]
-                        if validate:
-                            assert node.dnl == topo.dnl_star[k]
+                        assert not ref.idn
     assert fired[True] and fired[False]
 
 
@@ -217,47 +215,49 @@ def test_a_stopped_node_still_relays_what_only_it_can_reach():
     # from B, and B reaches N-1 as soon as it has met both
     topo = _build_topology([(0.0, 0.0), (90.0, 0.0), (180.0, 0.0)], 100.0)
     assert topo.dnl_star == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
-    a, b, c = (NodeState(i, topo.dnl_star[i]) for i in range(3))
+    a, b, c = (NodeState(i) for i in range(3))
     process_handshake(a, b)
     process_handshake(b, c)
-    assert check_termination(b, 3)
-    assert not check_termination(a, 3) and views(a)[1] == set()
+    assert n1_count(b, topo.dnl_star[1]) == 2 and check_termination(b, 3)
+    assert n1_count(a, topo.dnl_star[0]) == 1 and not check_termination(a, 3)
     # the engine keeps a stopped node handshaking, which is A's only way on
     process_handshake(a, b)
-    assert views(a)[1] == {2} and check_termination(a, 3)
+    assert views(a, topo.dnl_star[0])[1] == {2}
+    assert n1_count(a, topo.dnl_star[0]) == 2 and check_termination(a, 3)
 
 
 def test_termination_three_node_chain_controlled():
-    a = make_node(0, validate=True, in_range={1})
+    a = NodeState(0)
     a.dnl = {1}
     a.known = {0, 1, 2}
-    assert views(a) == ({1}, {2}, set())
-    assert check_termination(a, 3)
+    assert views(a, {1}) == ({1}, {2}, set())
+    assert n1_count(a, {1}) == 2
+    assert check_termination(a, 3) and a.dnl == {1}   # heard of all, DNL = DNL*
 
 
-def test_pending_verification_blocks_both_policies_by_disjointness():
-    # a pending IDN entry does not count toward N-1, so the one rule every
-    # stopping policy uses cannot hold
-    a = make_node(0, validate=True, in_range={1, 2})
+def test_pending_verification_blocks_the_validated_count():
+    # a pending IDN entry does not count toward N-1, so under validation the
+    # count waits for DNL = DNL* although every node has been heard of
+    a = NodeState(0)
     a.dnl = {1}
     a.known = {0, 1, 2}
-    assert views(a) == ({1}, set(), {2})
-    assert not check_termination(a, 3)
+    assert views(a, {1, 2}) == ({1}, set(), {2})
+    assert n1_count(a, {1, 2}) == 1
+    assert check_termination(a, 3) and a.dnl != {1, 2}
 
 
 def test_premature_termination_witness():
-    # a non-validating node hears about its still-unverified in-range
-    # neighbour 2 and files it under INL; the N-1 count fires anyway. A
-    # validating node keeps 2 pending in IDN, which blocks the count until
-    # the handshake happens.
-    blind = make_node(0, validate=False, in_range={1, 2})
-    process_handshake(blind, peer_knowing(1, {2, 3}))
-    assert views(blind) == ({1}, {2, 3}, set())
-    assert check_termination(blind, 4)
+    # one node, read by a node that cannot validate and by one that can: the
+    # first files its still-unverified in-range neighbour 2 under INL and the
+    # N-1 count fires; the second keeps 2 pending in IDN, which blocks the
+    # count until the handshake happens. Both have heard of all four nodes.
+    a = NodeState(0)
+    process_handshake(a, peer_knowing(1, {2, 3}))
+    assert check_termination(a, 4)
+    assert views(a, frozenset()) == ({1}, {2, 3}, set())
+    assert n1_count(a, frozenset()) == 3
 
-    careful = make_node(0, validate=True, in_range={1, 2})
-    process_handshake(careful, peer_knowing(1, {2, 3}))
-    assert views(careful) == ({1}, {3}, {2})
-    assert not check_termination(careful, 4)
-    process_handshake(careful, make_node(2, validate=True, in_range={0, 1}))
-    assert check_termination(careful, 4)
+    assert views(a, {1, 2}) == ({1}, {3}, {2})
+    assert n1_count(a, {1, 2}) == 2
+    process_handshake(a, NodeState(2))
+    assert n1_count(a, {1, 2}) == 3 and a.dnl == {1, 2}

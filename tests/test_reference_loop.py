@@ -8,8 +8,11 @@ group-based collision rule, `reference_pairs`: a pair handshakes when each
 end has exactly one in-range neighbour in the group. `run_once` instead keeps
 one list of the in-range pairs that meet on a channel both can use, drops
 every pair with an end in another meeting pair, and asks PR only about the
-channels of the pairs left, so PR hears of fewer channels; the two must agree
-on every record, every trace line and every capped run.
+channels of the pairs left, so PR hears of fewer channels. The reference also
+stops each node on the paper's own N-1 count, over the in-range set the node
+can confirm (its true neighbours under validation, none without), where
+run_once picks one of two policy-free marks. The two must agree on every
+record, every trace line and every capped run.
 """
 
 import io
@@ -72,14 +75,14 @@ def reference_run_once(cfg, topo=None, chans=None, trace=None):
     usable = [frozenset(chans[i]) for i in range(n)]
     neighbour_sets = topo.dnl_star
     in_range = neighbour_sets if cfg.validate_coords else [frozenset()] * n
-    states = [proto.NodeState(i, in_range[i]) for i in range(n)]
+    states = [proto.NodeState(i) for i in range(n)]
     t_n1, t_full, ptm_values = [None] * n, [None] * n, [None] * n
     run_to_full = cfg.termination == proto.RUN_TO_FULL
     pending = set(range(n))
 
     def update_marks(i, tnow, slot, half):
         st = states[i]
-        if not proto.check_termination(st, n):
+        if not (len(st.known) == n and in_range[i] <= st.dnl):  # |DNL| + |INL| = N-1
             return
         if t_n1[i] is None:
             t_n1[i] = tnow
