@@ -12,7 +12,7 @@ from .pr_activity import PrParams, ChannelOccupancy
 from .hopping import DualModularClock, RandomClock, ModularClock, make_clock, split_primality
 from .protocol import NodeState, process_handshake, check_termination
 from .engine import RunConfig, RunRecord, RunSummary, run_once, resolve_half_slot, default_area_side
-from .metrics import ptm, ctm, aggregate, AggregateMetrics, AGGREGATE_COLUMNS
-from .experiments import ScenarioGrid, run_grid, paper_grid, parse_grid_config
+from .metrics import ptm, ctm, aggregate, AggregateMetrics
+from .experiments import ScenarioGrid, run_grid, paper_grid, parse_grid_config, AGGREGATE_COLUMNS
 
 __version__ = "0.1.0"

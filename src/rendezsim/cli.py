@@ -6,13 +6,12 @@ import sys
 from contextlib import ExitStack
 from dataclasses import replace
 
-from .engine import RunConfig, IncompleteRun, run_once, DEFAULT_MAX_SLOTS
+from .engine import IncompleteRun, run_once
 from .experiments import (
     ScenarioGrid, run_grid, paper_grid, parse_grid_config,
-    aggregate_csv, runs_csv, run_row, RUN_COLUMNS,
+    aggregate_csv, runs_csv, run_row, read_run_row, RUN_COLUMNS,
 )
 from .hopping import PROTOCOLS
-from .pr_activity import PrParams
 from .protocol import TERMINATION_MODES
 from .topology import DeploymentError
 
@@ -57,26 +56,22 @@ def build_parser():
         p.add_argument("--out", default=None, help="aggregate CSV path (default stdout)")
         p.add_argument("--runs-out", default=None, help="optional per-run CSV path")
 
-    p_audit = sub.add_parser("audit", help=f"replay a per-run CSV at the default {DEFAULT_MAX_SLOTS}"
-                             "-slot cap and re-verify it; a row that needed more slots mismatches")
+    p_audit = sub.add_parser("audit", help="replay a per-run CSV from its recorded seeds "
+                             "and re-verify it")
     p_audit.add_argument("csv", help="per-run CSV produced with --runs-out")
     p_audit.set_defaults(func=_cmd_audit)
     return parser
 
 
 def _run_and_emit(args, grids, trace=None):
-    """Run the grids in order and write their merged rows as CSV; a bad --out
-    or --runs-out fails first, as opening it would, and no file is left."""
+    """Run the grids as one sweep and write its CSVs; a bad --out or
+    --runs-out fails first, as opening it would, and no file is left."""
     for path in filter(None, (args.out, args.runs_out)):
         created = not os.path.lexists(path)
         open(path, "a").close()
         if created:
             os.remove(path)
-    result, *extras = [run_grid(g, workers=args.workers, trace=trace) for g in grids]
-    for extra in extras:
-        result.grids.extend(extra.grids)
-        result.aggregate_rows.extend(extra.aggregate_rows)
-        result.run_rows.extend(extra.run_rows)
+    result = run_grid(*grids, workers=args.workers, trace=trace)
     text = aggregate_csv(result)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -139,39 +134,26 @@ def _cmd_audit(args):
     mismatches = checked = 0
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != len(RUN_COLUMNS):
-            raise ValueError(f"{args.csv}: row {line!r} does not have "
-                             f"{len(RUN_COLUMNS)} columns")
-        row = dict(zip(RUN_COLUMNS, cells))
-        if row["completed"] == "incomplete":
-            continue
-        if row["completed"] != "yes":
-            raise ValueError(f"{args.csv}: row {line!r} is neither completed "
-                             f"(yes) nor incomplete")
         try:
-            cfg = RunConfig(
-                protocol=row["protocol"], termination=row["termination"],
-                n_nodes=int(row["N"]), pool_size=int(row["C"]),
-                similarity=int(row["m"]), pr=PrParams.from_name(row["pr"]),
-                seed=int(row["seed"]),
-                topo_seed=int(row["topo_seed"]) if row["topo_seed"] else None,
-                chan_seed=int(row["chan_seed"]) if row["chan_seed"] else None,
-            )
+            parsed = read_run_row(cells)
         except ValueError as exc:
-            raise ValueError(f"{args.csv}: row {line!r}: {exc}") from None
+            raise ValueError(f"{args.csv}: {exc}") from None
+        if parsed is None:
+            continue
+        scenario, run_index, cfg = parsed
         checked += 1
         try:
             summary = run_once(cfg).summary()
         except IncompleteRun as exc:
             mismatches += 1
-            print(f"audit: run {row['run_index']}: recorded as completed, "
+            print(f"audit: run {run_index}: recorded as completed, "
                   f"replay stopped: {exc}", file=sys.stderr)
             continue
-        replayed = run_row(row["scenario"], row["run_index"], cfg, summary)
+        replayed = run_row(scenario, run_index, cfg, summary)
         for col, recorded, value in zip(RUN_COLUMNS, cells, replayed):
             if value != recorded:
                 mismatches += 1
-                print(f"audit: run {row['run_index']} {col}: "
+                print(f"audit: run {run_index} {col}: "
                       f"recorded {recorded!r}, replayed {value!r}",
                       file=sys.stderr)
     print(f"audit: {checked} runs replayed, {mismatches} mismatch(es)")

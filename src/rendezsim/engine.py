@@ -68,11 +68,6 @@ class RunConfig:
         # picks which of run_once's two marks the N-1 count is
         return self.protocol == "mrdmca" or self.termination == proto.CONTROLLED
 
-    def scenario_key(self):
-        """The six scenario cells of a CSV row: protocol, termination, N, C, m, PR."""
-        return (self.protocol, self.termination, str(self.n_nodes),
-                str(self.pool_size), str(self.similarity), self.pr.name)
-
 
 @dataclass
 class RunRecord:
@@ -109,13 +104,12 @@ class RunRecord:
         return self.t_n1
 
     def summary(self):
-        return RunSummary(self.cfg.scenario_key(), self.ctm,
-                          *map(mean_or_none, (self.t_term, self.t_n1, self.t_full)))
+        return RunSummary(self.ctm, *map(mean_or_none, (self.t_term, self.t_n1, self.t_full)))
 
 
-RunSummary = namedtuple("RunSummary", "scenario ctm policy n1 full")
-RunSummary.__doc__ = """What rows and aggregates read of a run: its cfg.scenario_key(), CTM
-and the node means of t_term, t_n1 and t_full (None if a node lacks its mark)."""
+RunSummary = namedtuple("RunSummary", "ctm policy n1 full")
+RunSummary.__doc__ = """What rows and aggregates read of a run: its CTM and the node means
+of t_term, t_n1 and t_full (None if a node lacks its mark); the sweep knows its cell."""
 
 
 def resolve_half_slot(meets, occupancy, half_slot_index):

@@ -1,20 +1,29 @@
-"""Scenario grids, deterministic batch replication, and CSV emission."""
+"""Scenario grids, deterministic batch replication, and the two CSVs, written and read back."""
 
 import hashlib
-from dataclasses import MISSING, dataclass, asdict, fields, replace
+import math
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, asdict, astuple, fields, replace
 from itertools import groupby, product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS, DEFAULT_RANGE_M
 from .hopping import PROTOCOLS
-from .metrics import aggregate, aggregate_row, AGGREGATE_COLUMNS, fmt
+from .metrics import AggregateMetrics, aggregate
 from .pr_activity import PrParams
 
+# the six scenario columns of both CSVs: column -> (RunConfig field, cell parser, writer)
+_SCENARIO_COLUMNS = {
+    "protocol": ("protocol", str, str), "termination": ("termination", str, str),
+    "N": ("n_nodes", int, str), "C": ("pool_size", int, str), "m": ("similarity", int, str),
+    "pr": ("pr", PrParams.from_name, attrgetter("name")),
+}
 RUN_COLUMNS = [
-    "scenario", "protocol", "termination", "N", "C", "m", "pr",
-    "run_index", "seed", "topo_seed", "chan_seed",
+    "scenario", *_SCENARIO_COLUMNS, "run_index", "seed", "topo_seed", "chan_seed",
     "ttr_policy", "ttr_n1", "ttr_full", "ctm", "completed",
 ]
+# the metrics are AggregateMetrics' fields, in order; floats with 4 decimal places
+AGGREGATE_COLUMNS = ["scenario", *_SCENARIO_COLUMNS, *(f.name for f in fields(AggregateMetrics))]
 
 
 def derive_seed(master_seed, *parts):
@@ -93,13 +102,26 @@ def _execute(item):
         return None
 
 
+def fmt(value):
+    """Float cell with 4 decimal places; empty string for missing values."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return str(value)
+
+
+def _scenario_cells(cfg):
+    return [write(getattr(cfg, field)) for field, _, write in _SCENARIO_COLUMNS.values()]
+
+
 def run_row(scenario, run_index, cfg, summary):
     """One per-run CSV row (list of strings) in RUN_COLUMNS order.
 
     summary is None for a run that hit the safety cap; its row is flagged
     `incomplete` and leaves the timing and accuracy cells empty.
     """
-    row = [scenario, *cfg.scenario_key(), str(run_index), str(cfg.seed),
+    row = [scenario, *_scenario_cells(cfg), str(run_index), str(cfg.seed),
            fmt(cfg.topo_seed), fmt(cfg.chan_seed)]
     if summary is None:
         return row + ["", "", "", "", "incomplete"]
@@ -107,39 +129,69 @@ def run_row(scenario, run_index, cfg, summary):
                   fmt(summary.ctm), "yes"]
 
 
-@dataclass
-class GridResult:
-    """Per-run rows in (cell, run) order and aggregate rows of grids; merging extends all three."""
+def read_run_row(cells):
+    """(scenario, run_index, cfg) of a per-run row's cells; None if it is `incomplete`.
 
-    grids: list
-    run_rows: list
-    aggregate_rows: list
+    run_row(scenario, run_index, cfg, run_once(cfg).summary()) writes the row
+    again. cfg.max_slots is N x the recorded stop mean (ttr_policy, or ttr_full
+    under run_to_full), rounded up, plus one: every mark is at least 0.5, so
+    the last, in whose slot the run ends, is at most N x their mean, and the
+    extra slot covers the mean's 4-decimal rounding up to N = 20 000. A row of
+    the wrong length or form raises ValueError naming the row.
+    """
+    line = ",".join(cells)
+    if len(cells) != len(RUN_COLUMNS):
+        raise ValueError(f"row {line!r} does not have {len(RUN_COLUMNS)} columns")
+    row = dict(zip(RUN_COLUMNS, cells))
+    if row["completed"] == "incomplete":
+        return None
+    if row["completed"] != "yes":
+        raise ValueError(f"row {line!r} is neither completed (yes) nor incomplete")
+    try:
+        cell = {field: parse(row[column])
+                for column, (field, parse, _) in _SCENARIO_COLUMNS.items()}
+        stop_mean = float(row["ttr_policy"] or row["ttr_full"])
+        cfg = RunConfig(**cell, seed=int(row["seed"]),
+                        **{col: int(row[col]) for col in ("topo_seed", "chan_seed") if row[col]},
+                        max_slots=math.ceil(cell["n_nodes"] * stop_mean) + 1)
+        return row["scenario"], int(row["run_index"]), cfg
+    except (ValueError, OverflowError) as exc:  # ceil of an infinite mean overflows
+        raise ValueError(f"row {line!r}: {exc}") from None
 
-    @property
-    def incomplete(self):
-        """The number of runs that hit the safety cap (rows flagged so)."""
-        return sum(row[-1] == "incomplete" for row in self.run_rows)
+
+def aggregate_row(scenario, cfg, agg):
+    """One aggregate CSV row (list of strings) in AGGREGATE_COLUMNS order."""
+    return [scenario, *_scenario_cells(cfg), *map(fmt, astuple(agg))]
 
 
-def run_grid(grid, workers=1, trace=None):
-    """Execute every cell x run; identical results for any worker count.
+GridResult = namedtuple("GridResult", "grids run_rows aggregate_rows incomplete")
+GridResult.__doc__ = """One sweep over grids: per-run rows in (grid, cell, run) order, aggregate
+rows, and the number of runs that hit the safety cap (their rows are flagged so)."""
+
+
+def run_grid(*grids, workers=1, trace=None):
+    """Execute every cell x run of the grids as one sweep; identical results
+    for any worker count. The grids are sub-grids of one CSV, such as `paper
+    baseline`'s two, so they share a name and master seed: its header names
+    one of each, with every grid's hash.
 
     Each run's RunSummary (None if capped) is all that is kept of it; a
     worker sends back that alone, paired with its work item by position.
 
     trace, when given, is a writable text stream that receives the event
-    trace of replication 0 of cell 0 (see engine.run_once). That replication
-    runs first, in this process, as the one whose row is written; if it hits
-    the safety cap, IncompleteRun propagates instead of flagging the row, so
-    a trace that was asked for never ends silently. workers below 1 raise
-    ValueError, and no more processes start than there are runs left.
+    trace of replication 0 of the first cell (see engine.run_once). That
+    replication runs first, in this process, as the one whose row is written;
+    if it hits the safety cap, IncompleteRun propagates instead of flagging
+    the row, so a trace that was asked for never ends silently. workers below
+    1 raise ValueError, and no more processes start than there are runs left.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    items = _run_configs(grid)
+    items = [((g, cell_index), run_index, cfg) for g, grid in enumerate(grids)
+             for cell_index, run_index, cfg in _run_configs(grid)]
     summaries = []
-    if trace is not None:  # replication 0 of cell 0 moves to the front
-        items.sort(key=lambda item: item[:2] != (0, 0))
+    if trace is not None:  # replication 0 of the first cell moves to the front
+        items.sort(key=lambda item: item[:2] != ((0, 0), 0))
         summaries.append(run_once(items[0][2], trace=trace).summary())
     rest = items[len(summaries):]
     workers = min(workers, len(rest))
@@ -151,15 +203,15 @@ def run_grid(grid, workers=1, trace=None):
         summaries += map(_execute, rest)
     results = sorted((item + (s,) for item, s in zip(items, summaries)), key=itemgetter(0, 1))
 
-    run_rows = [run_row(grid.name, run_index, cfg, summary)
-                for _, run_index, cfg, summary in results]
+    run_rows = [run_row(grids[g].name, run_index, cfg, summary)
+                for (g, _), run_index, cfg, summary in results]
     aggregate_rows = []
-    for _, cell in groupby(results, itemgetter(0)):
+    for (g, _), cell in groupby(results, itemgetter(0)):
         cell = list(cell)
         completed = [summary for *_, summary in cell if summary is not None]
         if completed:
-            aggregate_rows.append(aggregate_row(grid.name, cell[0][2], aggregate(completed)))
-    return GridResult(grids=[grid], run_rows=run_rows, aggregate_rows=aggregate_rows)
+            aggregate_rows.append(aggregate_row(grids[g].name, cell[0][2], aggregate(completed)))
+    return GridResult(grids, run_rows, aggregate_rows, incomplete=summaries.count(None))
 
 
 def _csv_text(columns, rows, result):
@@ -200,7 +252,7 @@ def paper_grid(name, runs=None, master_seed=0):
                         master_seed=master_seed, fix_topology=True)
     if name == "baseline":
         # conventional protocols stop at N-1; mrdmca uses controlled stop,
-        # measured as two sub-grids merged by the caller
+        # measured as two sub-grids of one run_grid sweep
         return (replace(grid, protocols=BASELINE_PROTOCOLS, terminations=("baseline",)),
                 replace(grid, protocols=("mrdmca",)))
     if name == "controlled":

@@ -1,20 +1,13 @@
-"""Per-run and cross-run correctness/timing metrics: PTM, CTM, ATTR, ATM, PTDD."""
+"""PTM, CTM, ATTR, ATM and PTDD as numbers; experiments writes them as CSV cells."""
 
 import math
 from dataclasses import dataclass
-
-# exact aggregate CSV column order; floats with 4 decimal places
-AGGREGATE_COLUMNS = [
-    "scenario", "protocol", "termination", "N", "C", "m", "pr", "runs",
-    "attr_policy", "attr_n1", "attr_full", "atm", "ptdd",
-    "attr_ci95", "atm_ci95",
-]
 
 Z95 = 1.96
 
 
 class AggregationError(ValueError):
-    """An aggregation over no runs or over mixed scenarios."""
+    """An aggregation over no runs."""
 
 
 def ptm(discovered_dnl, ground_dnl):
@@ -53,6 +46,8 @@ def _ci95(values):
 
 @dataclass(frozen=True)
 class AggregateMetrics:
+    """One cell's metrics; the fields are the aggregate CSV's last columns, in order."""
+
     runs: int
     attr_policy: float   # None when the policy never fired
     attr_n1: float
@@ -66,21 +61,15 @@ class AggregateMetrics:
 def aggregate(summaries):
     """ATTR/ATM/PTDD with 95% half-widths over one scenario's run summaries.
 
-    summaries are engine.RunSummary values. An ATTR is the mean over runs of
-    one node-mean field (policy stop, first N-1, first full discovery), and
-    None when some run lacks the mark; PTDD is attr_full - attr_n1. The ATTR
-    half-width is over the policy means, or over the full-discovery means
-    when the policy never fired.
+    summaries are engine.RunSummary values, which name no scenario: the caller
+    groups them by cell. An ATTR is the mean over runs of one node-mean field
+    (policy stop, first N-1, first full discovery), and None when some run
+    lacks the mark; PTDD is attr_full - attr_n1. The ATTR half-width is over
+    the policy means, or the full-discovery means when the policy never fired.
     """
     if not summaries:
         raise AggregationError("no runs to aggregate")
-    keys = {s.scenario for s in summaries}
-    if len(keys) > 1:
-        raise AggregationError(f"mixed scenarios in aggregation: {sorted(keys)}")
-    policy = [s.policy for s in summaries]
-    n1 = [s.n1 for s in summaries]
-    full = [s.full for s in summaries]
-    ctm_values = [s.ctm for s in summaries]
+    ctm_values, policy, n1, full = zip(*summaries)
     attr_policy, attr_n1, attr_full = map(mean_or_none, (policy, n1, full))
     return AggregateMetrics(
         runs=len(summaries),
@@ -92,21 +81,3 @@ def aggregate(summaries):
         attr_ci95=_ci95(full if attr_policy is None else policy),
         atm_ci95=_ci95(ctm_values),
     )
-
-
-def fmt(value):
-    """Float cell with 4 decimal places; empty string for missing values."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
-
-
-def aggregate_row(scenario, cfg, agg):
-    """One aggregate CSV row (list of strings) in AGGREGATE_COLUMNS order."""
-    return [
-        scenario, *cfg.scenario_key(), str(agg.runs), fmt(agg.attr_policy),
-        fmt(agg.attr_n1), fmt(agg.attr_full), fmt(agg.atm), fmt(agg.ptdd),
-        fmt(agg.attr_ci95), fmt(agg.atm_ci95),
-    ]

@@ -2,10 +2,12 @@
 
 import concurrent.futures
 import io
+import math
 import pickle
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -13,14 +15,16 @@ import rendezsim.cli as cli
 import rendezsim.engine as engine
 import rendezsim.experiments as experiments
 from rendezsim.cli import main
-from rendezsim.engine import IncompleteRun, RunConfig
+from rendezsim.engine import DEFAULT_MAX_SLOTS, IncompleteRun, RunConfig
 from rendezsim.experiments import (
+    RUN_COLUMNS,
     ScenarioGrid,
     _run_configs,
     aggregate_csv,
     derive_seed,
     paper_grid,
     parse_grid_config,
+    read_run_row,
     run_grid,
     run_row,
     runs_csv,
@@ -35,6 +39,31 @@ SMALL_GRID = ScenarioGrid(
     n_values=(3,), c_values=(10,), m_values=(5,), pr_levels=("off",),
     runs=4, master_seed=7,
 )
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each ProcessPoolExecutor made; the pools start nothing."""
+    sizes = []
+
+    class RecordingPool:
+        """ProcessPoolExecutor stand-in that records its size and runs in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -63,31 +92,31 @@ def test_worker_count_does_not_change_results():
     assert runs_csv(serial) == runs_csv(parallel)
 
 
-def test_worker_pool_never_outnumbers_the_runs(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """ProcessPoolExecutor stand-in that records its size and starts nothing."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_worker_pool_never_outnumbers_the_runs(pool_sizes):
     grid = replace(SMALL_GRID, runs=1)              # two cells, one run each
     result = run_grid(grid, workers=16)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert runs_csv(result) == runs_csv(run_grid(grid))
     run_grid(grid, workers=16, trace=io.StringIO())  # one run left: no pool
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_one_sweep_over_sub_grids_gives_the_rows_of_each_run_alone():
+    a = SMALL_GRID
+    b = replace(SMALL_GRID, protocols=("rcs",), terminations=("baseline", "run_to_full"),
+                runs=3, fix_topology=True)
+    alone = [run_grid(a), run_grid(b)]
+    for both in (run_grid(a, b), run_grid(a, b, workers=2)):
+        assert both.run_rows == alone[0].run_rows + alone[1].run_rows
+        assert both.aggregate_rows == alone[0].aggregate_rows + alone[1].aggregate_rows
+        for text in (runs_csv(both), aggregate_csv(both)):
+            assert f"# grid small hash={a.grid_hash()}+{b.grid_hash()} master_seed=7\n" in text
+
+
+def test_paper_baseline_runs_both_sub_grids_in_one_pool(tmp_path, pool_sizes):
+    assert main(["paper", "baseline", "--runs", "1", "--workers", "2",
+                 "--out", str(tmp_path / "agg.csv")]) == 0
+    assert pool_sizes == [2]
 
 
 def test_worker_count_does_not_change_results_under_fixed_topology():
@@ -122,13 +151,16 @@ def test_run_summaries_give_the_rows_and_aggregates_of_their_records(termination
 def test_a_worker_result_does_not_grow_with_the_network():
     sizes = []
     for n, c in ((3, 10), (20, 20)):
-        cfg = RunConfig(protocol="mdmca", termination="controlled", n_nodes=n, pool_size=c,
-                        similarity=2, pr=PrParams.off(), seed=4)
-        result = experiments._execute((0, 0, cfg))
-        assert not hasattr(result, "final_dnl")
-        assert result == engine.run_once(cfg).summary()
-        sizes.append(len(pickle.dumps(result)))
+        cfgs = [RunConfig(protocol="mdmca", termination="controlled", n_nodes=n, pool_size=c,
+                          similarity=2, pr=PrParams.off(), seed=seed) for seed in range(16)]
+        results = [experiments._execute((0, 0, cfg)) for cfg in cfgs]
+        assert None not in results and not hasattr(results[0], "final_dnl")
+        assert results[0] == engine.run_once(cfgs[0]).summary()
+        # the pool sends results in lists of 16 (its chunksize), which name
+        # the RunSummary class once; pickled alone, each summary names it
+        sizes.append(len(pickle.dumps(results)) / len(results))
     assert abs(sizes[0] - sizes[1]) <= 4
+    assert max(sizes) <= 64                      # a few dozen bytes per run
 
 
 def test_fixed_topology_shares_deployments_across_cells():
@@ -618,14 +650,77 @@ def test_cli_audit_names_the_row_of_a_malformed_cell(tmp_path, capsys):
     main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])
     capsys.readouterr()
     text = runs_out.read_text()
-    cells = text.splitlines()[-1].split(",")
-    cells[9] = "x"                                  # topo_seed
-    bad_row = ",".join(cells)
-    runs_out.write_text(text + bad_row + "\n")
-    assert main(["audit", str(runs_out)]) == 2
-    assert _one_error_line(capsys) == (
-        f"rendezsim: {runs_out}: row {bad_row!r}: "
-        "invalid literal for int() with base 10: 'x'\n")
+    for column, cell, error in (
+            ("topo_seed", "x", "invalid literal for int() with base 10: 'x'"),
+            ("ttr_policy", "inf", "cannot convert float infinity to integer"),
+            ("ttr_policy", "nan", "cannot convert float NaN to integer"),
+            ("ttr_policy", "-1.0000", "max_slots must be positive, got -2")):
+        cells = text.splitlines()[-1].split(",")
+        cells[RUN_COLUMNS.index(column)] = cell
+        bad_row = ",".join(cells)
+        runs_out.write_text(text + bad_row + "\n")
+        assert main(["audit", str(runs_out)]) == 2
+        assert _one_error_line(capsys) == f"rendezsim: {runs_out}: row {bad_row!r}: {error}\n"
+
+
+def _body(path):
+    return [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("runs_file", ["runs.csv", "runs20.csv"])
+def test_read_run_row_reads_back_the_cells_run_row_wrote(runs_file):
+    rows = _body(GOLDEN / runs_file)
+    parsed = [read_run_row(cells) for cells in rows]
+    assert [p is None for p in parsed] == [cells[-1] == "incomplete" for cells in rows]
+    for cells, found in zip(rows, parsed):
+        if found is not None:
+            # scenario, the six scenario cells, run_index and the three seeds
+            assert run_row(*found, None)[:11] == cells[:11]
+
+
+def test_cli_audit_replays_each_row_at_the_cap_its_stop_mean_allows(
+        tmp_path, monkeypatch, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(GRID_TEXT.replace("terminations = controlled",
+                                      "terminations = baseline, run_to_full")
+                    + "max_slots = 1000000\n")
+    runs_out = tmp_path / "runs.csv"
+    assert main(["sweep", "--config", str(grid), "--out", str(tmp_path / "a.csv"),
+                 "--runs-out", str(runs_out)]) == 0
+    caps = []
+    real = cli.run_once
+
+    def spy(cfg):
+        caps.append((cfg.seed, cfg.max_slots))
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_once", spy)
+    assert main(["audit", str(runs_out)]) == 0
+    rows = [dict(zip(RUN_COLUMNS, cells)) for cells in _body(runs_out)]
+    assert [row["ttr_policy"] == "" for row in rows] == [False, True]   # run_to_full
+    assert caps == [(int(row["seed"]), math.ceil(3 * float(row["ttr_policy"] or row["ttr_full"])) + 1)
+                    for row in rows]
+    assert max(cap for _, cap in caps) < DEFAULT_MAX_SLOTS
+
+
+def test_cli_audit_reports_a_forged_short_stop_as_a_capped_replay(tmp_path, capsys):
+    runs_out = tmp_path / "runs.csv"
+    main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])
+    capsys.readouterr()
+    lines = runs_out.read_text().splitlines()
+    header_at = lines.index(",".join(RUN_COLUMNS))
+    at = RUN_COLUMNS.index("ttr_policy")
+    slowest = max(lines[header_at + 1:], key=lambda l: float(l.split(",")[at]))
+    cells = slowest.split(",")
+    assert float(cells[at]) > 3          # the run needed more than ceil(3 x 0.5) + 1 slots
+    cells[at] = "0.5000"
+    runs_out.write_text("\n".join(lines[:header_at + 1] + [",".join(cells)]) + "\n")
+    assert main(["audit", str(runs_out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "audit: 1 runs replayed, 1 mismatch(es)\n"
+    assert captured.err == (f"audit: run {cells[7]}: recorded as completed, replay stopped: "
+                            f"safety cap of 3 slots reached with 3 node(s) unfinished "
+                            f"(seed {cells[8]})\n")
 
 
 def test_console_entry_point_runs():

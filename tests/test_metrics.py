@@ -1,23 +1,17 @@
-"""Metric formula tests with hand-computed and independently recomputed values."""
+"""Metric formula tests with hand-computed and independently recomputed values,
+and the aggregate row that experiments writes of them."""
 
 import pytest
 
 from rendezsim.engine import RunConfig, RunRecord, run_once
-from rendezsim.metrics import (
-    AGGREGATE_COLUMNS,
-    AggregationError,
-    aggregate,
-    aggregate_row,
-    ctm,
-    fmt,
-    ptm,
-)
+from rendezsim.experiments import AGGREGATE_COLUMNS, aggregate_row, fmt
+from rendezsim.metrics import AggregationError, aggregate, ctm, ptm
 from rendezsim.pr_activity import PrParams
 
 
-def record(t_n1, t_full=None, ctm=100.0, protocol="rcs", termination="baseline"):
+def record(t_n1, t_full=None, ctm=100.0, termination="baseline"):
     """A hand-built RunRecord with the given marks (t_full None: never full)."""
-    cfg = RunConfig(protocol=protocol, termination=termination, n_nodes=10,
+    cfg = RunConfig(protocol="rcs", termination=termination, n_nodes=10,
                     pool_size=10, similarity=2, pr=PrParams.off())
     return RunRecord(cfg=cfg, slots_used=0, t_n1=t_n1, t_full=t_full or [None] * len(t_n1),
                      ptm=[ctm] * len(t_n1), ctm=ctm, final_dnl=[])
@@ -59,13 +53,6 @@ def test_attr_is_a_nested_mean():
 def test_aggregate_without_runs_raises():
     with pytest.raises(AggregationError):
         aggregate([])
-
-
-def test_mixed_scenarios_rejected():
-    runs = [record([1.0], protocol="rcs").summary(),
-            record([1.0], protocol="mca").summary()]
-    with pytest.raises(AggregationError):
-        aggregate(runs)
 
 
 def test_ptdd_is_full_minus_n1():
