@@ -9,7 +9,7 @@ parallel. MR-DMCA's cut in rendezvous time against each baseline is printed
 next to the paper's figures for this cell.
 """
 
-from rendezsim import AGGREGATE_COLUMNS, ScenarioGrid, run_grid
+from rendezsim import ScenarioGrid, run_grid
 
 GRID = ScenarioGrid(
     name="comparison",
@@ -20,23 +20,21 @@ GRID = ScenarioGrid(
     runs=60, master_seed=3, fix_topology=True,
 )
 PAPER_CUTS = {"rcs": 76, "mca": 37, "emca": 17}  # MR-DMCA's ATTR cuts, from the abstract
-PROTOCOL, ATTR, ATM, ATTR_CI = map(
-    AGGREGATE_COLUMNS.index, ("protocol", "attr_policy", "atm", "attr_ci95"))
 
 
 def main():
     print("running 5 protocols x 60 replications (N=20, C=20, m=2, 85% PR)...")
     result = run_grid(GRID)
-    rows = {row[PROTOCOL]: row for row in result.aggregate_rows}
+    aggs = {cfg.protocol: agg for _, cfg, agg in result.cells}
     print(f"\n{'protocol':<10}{'mean TTR ± 95% (slots)':>24}{'ATM %':>10}")
     for proto in GRID.protocols:
-        row = rows[proto]
-        attr = f"{float(row[ATTR]):.1f} ± {float(row[ATTR_CI]):.1f}"
-        print(f"{proto:<10}{attr:>24}{float(row[ATM]):>10.1f}")
-    best = float(rows["mrdmca"][ATTR])
+        agg = aggs[proto]
+        attr = f"{agg.attr_policy:.1f} ± {agg.attr_ci95:.1f}"
+        print(f"{proto:<10}{attr:>24}{agg.atm:>10.1f}")
+    best = aggs["mrdmca"].attr_policy
     print("\nMR-DMCA's cut in mean TTR, here and in the paper:")
     for proto, paper in PAPER_CUTS.items():
-        attr = float(rows[proto][ATTR])
+        attr = aggs[proto].attr_policy
         print(f"  vs {proto:<6}{100 * (attr - best) / attr:>4.0f}%   (paper {paper}%)")
     if result.incomplete:
         print(f"({result.incomplete} capped replications excluded)")

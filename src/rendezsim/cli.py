@@ -64,8 +64,13 @@ def build_parser():
 
 
 def _run_and_emit(args, grids, trace=None):
-    """Run the grids as one sweep and write its CSVs; a bad --out or
-    --runs-out fails first, as opening it would, and no file is left."""
+    """Run the grids as one sweep and write its CSVs; path flags naming one file, or a
+    bad --out or --runs-out (as opening it would), fail first, and no file is left."""
+    named = {}  # realpath -> the first of --trace, --config, --out, --runs-out naming it
+    for flag in ("--trace", "--config", "--out", "--runs-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path and named.setdefault(os.path.realpath(path), flag) != flag:
+            raise ValueError(f"{named[os.path.realpath(path)]} and {flag} name one file: {path}")
     for path in filter(None, (args.out, args.runs_out)):
         created = not os.path.lexists(path)
         open(path, "a").close()

@@ -164,9 +164,10 @@ def aggregate_row(scenario, cfg, agg):
     return [scenario, *_scenario_cells(cfg), *map(fmt, astuple(agg))]
 
 
-GridResult = namedtuple("GridResult", "grids run_rows aggregate_rows incomplete")
-GridResult.__doc__ = """One sweep over grids: per-run rows in (grid, cell, run) order, aggregate
-rows, and the number of runs that hit the safety cap (their rows are flagged so)."""
+GridResult = namedtuple("GridResult", "grids runs cells incomplete")
+GridResult.__doc__ = """One sweep over grids, as numbers: runs, the sorted ((grid, cell), run_index,
+cfg, RunSummary or None if capped) of each run; cells, (grid, cfg, AggregateMetrics) of each cell
+with a completed run; grid indexes grids, and incomplete counts the capped runs."""
 
 
 def run_grid(*grids, workers=1, trace=None):
@@ -175,8 +176,8 @@ def run_grid(*grids, workers=1, trace=None):
     baseline`'s two, so they share a name and master seed: its header names
     one of each, with every grid's hash.
 
-    Each run's RunSummary (None if capped) is all that is kept of it; a
-    worker sends back that alone, paired with its work item by position.
+    Of each run only its RunSummary (None if capped) is kept, which a worker
+    sends back alone, paired with its work item by position; no row is formed.
 
     trace, when given, is a writable text stream that receives the event
     trace of replication 0 of the first cell (see engine.run_once). That
@@ -201,17 +202,14 @@ def run_grid(*grids, workers=1, trace=None):
             summaries += pool.map(_execute, rest, chunksize=16)
     else:
         summaries += map(_execute, rest)
-    results = sorted((item + (s,) for item, s in zip(items, summaries)), key=itemgetter(0, 1))
-
-    run_rows = [run_row(grids[g].name, run_index, cfg, summary)
-                for (g, _), run_index, cfg, summary in results]
-    aggregate_rows = []
-    for (g, _), cell in groupby(results, itemgetter(0)):
+    runs = sorted((item + (s,) for item, s in zip(items, summaries)), key=itemgetter(0, 1))
+    cells = []
+    for (g, _), cell in groupby(runs, itemgetter(0)):
         cell = list(cell)
         completed = [summary for *_, summary in cell if summary is not None]
         if completed:
-            aggregate_rows.append(aggregate_row(grids[g].name, cell[0][2], aggregate(completed)))
-    return GridResult(grids, run_rows, aggregate_rows, incomplete=summaries.count(None))
+            cells.append((g, cell[0][2], aggregate(completed)))
+    return GridResult(grids, runs, cells, incomplete=summaries.count(None))
 
 
 def _csv_text(columns, rows, result):
@@ -228,16 +226,19 @@ def _csv_text(columns, rows, result):
         "every 2p steps (2p half-slots for emca, 2p slots for mca)",
         ",".join(columns),
     ]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [",".join(row) for row in rows]) + "\n"
 
 
 def aggregate_csv(result):
-    return _csv_text(AGGREGATE_COLUMNS, result.aggregate_rows, result)
+    """The aggregate CSV's text; aggregate_row forms each row only as it is joined."""
+    return _csv_text(AGGREGATE_COLUMNS, (aggregate_row(result.grids[g].name, cfg, agg)
+                                         for g, cfg, agg in result.cells), result)
 
 
 def runs_csv(result):
-    return _csv_text(RUN_COLUMNS, result.run_rows, result)
+    """The per-run CSV's text; run_row forms each row only as it is joined."""
+    return _csv_text(RUN_COLUMNS, (run_row(result.grids[g].name, run_index, cfg, summary)
+                                   for (g, _), run_index, cfg, summary in result.runs), result)
 
 
 BASELINE_PROTOCOLS = ("rcs", "mca", "emca", "mdmca")

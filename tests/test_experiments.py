@@ -15,12 +15,15 @@ import rendezsim.cli as cli
 import rendezsim.engine as engine
 import rendezsim.experiments as experiments
 from rendezsim.cli import main
-from rendezsim.engine import DEFAULT_MAX_SLOTS, IncompleteRun, RunConfig
+from rendezsim.engine import DEFAULT_MAX_SLOTS, IncompleteRun, RunConfig, RunSummary
 from rendezsim.experiments import (
+    AGGREGATE_COLUMNS,
     RUN_COLUMNS,
+    GridResult,
     ScenarioGrid,
     _run_configs,
     aggregate_csv,
+    aggregate_row,
     derive_seed,
     paper_grid,
     parse_grid_config,
@@ -107,10 +110,47 @@ def test_one_sweep_over_sub_grids_gives_the_rows_of_each_run_alone():
                 runs=3, fix_topology=True)
     alone = [run_grid(a), run_grid(b)]
     for both in (run_grid(a, b), run_grid(a, b, workers=2)):
-        assert both.run_rows == alone[0].run_rows + alone[1].run_rows
-        assert both.aggregate_rows == alone[0].aggregate_rows + alone[1].aggregate_rows
+        for csv in (runs_csv, aggregate_csv):
+            assert _rows(csv(both)) == _rows(csv(alone[0])) + _rows(csv(alone[1]))
         for text in (runs_csv(both), aggregate_csv(both)):
             assert f"# grid small hash={a.grid_hash()}+{b.grid_hash()} master_seed=7\n" in text
+
+
+def test_a_sweep_result_holds_numbers(monkeypatch):
+    real = experiments.run_once
+
+    def capped(cfg, trace=None):  # every mca run and the odd seeds hit the cap
+        if cfg.protocol == "mca" or cfg.seed % 2:
+            raise IncompleteRun("safety cap reached")
+        return real(cfg, trace=trace)
+
+    monkeypatch.setattr(experiments, "run_once", capped)
+    a = replace(SMALL_GRID, protocols=("rcs", "mca", "mrdmca"))
+    b = replace(SMALL_GRID, protocols=("mdmca",), terminations=("baseline", "run_to_full"),
+                fix_topology=True)
+    result = run_grid(a, b)
+    assert GridResult._fields == ("grids", "runs", "cells", "incomplete")
+    assert result.grids == (a, b)
+    assert [entry[:2] for entry in result.runs] == sorted(
+        ((g, cell), run) for g, grid in enumerate((a, b))
+        for cell in range(len(list(grid.cells()))) for run in range(grid.runs))
+    assert all(isinstance(s, RunSummary) or s is None for *_, s in result.runs)
+    assert result.incomplete == [s for *_, s in result.runs].count(None)
+    by_cell = {}
+    for key, _, cfg, summary in result.runs:
+        by_cell.setdefault(key, []).append((cfg, summary))
+    assert 0 < result.incomplete < len(result.runs) and len(result.cells) < len(by_cell)
+    assert result.cells == [
+        (g, entries[0][0], aggregate([s for _, s in entries if s is not None]))
+        for (g, _), entries in by_cell.items() if any(s is not None for _, s in entries)]
+    for csv, columns, rows in (
+            (runs_csv, RUN_COLUMNS, [run_row(result.grids[g].name, run_index, cfg, s)
+                                     for (g, _), run_index, cfg, s in result.runs]),
+            (aggregate_csv, AGGREGATE_COLUMNS, [aggregate_row(result.grids[g].name, cfg, agg)
+                                                for g, cfg, agg in result.cells])):
+        lines = csv(result).splitlines()
+        at = lines.index(",".join(columns))
+        assert lines[at + 1:] == [",".join(row) for row in rows]
 
 
 def test_paper_baseline_runs_both_sub_grids_in_one_pool(tmp_path, pool_sizes):
@@ -169,13 +209,13 @@ def test_fixed_topology_shares_deployments_across_cells():
                         c_values=(10,), m_values=(5,), pr_levels=("off",),
                         runs=3, master_seed=1, fix_topology=True)
     result = run_grid(grid)
-    # per-run rows carry the deployment/channel seeds; run k of the rcs cell
-    # must reuse run k's seeds from the mrdmca cell
-    cols = dict(zip(("topo_seed", "chan_seed"), (9, 10)))
+    # each run's config carries the deployment/channel seeds; run k of the rcs
+    # cell must reuse run k's seeds from the mrdmca cell
+    cfgs = [cfg for _, _, cfg, _ in result.runs]
     for k in range(3):
-        for col in cols.values():
-            assert result.run_rows[k][col] == result.run_rows[3 + k][col]
-            assert result.run_rows[k][col] != ""
+        for field in ("topo_seed", "chan_seed"):
+            assert getattr(cfgs[k], field) == getattr(cfgs[3 + k], field)
+            assert getattr(cfgs[k], field) is not None
 
 
 def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
@@ -195,13 +235,13 @@ def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
     result = run_grid(grid)
     assert len(calls) == 2 * 3                  # not once per cell (30)
     assert len(set(calls)) == 6
-    # the same rows as running the items in (cell, run) order, each freshly
+    # the same runs as running the items in (cell, run) order, each freshly
     # deployed
     unordered = []
     for cell_index, run_index, cfg in sorted(_run_configs(grid), key=lambda it: it[:2]):
         engine._deployment.cache_clear()
-        unordered.append(run_row(grid.name, run_index, cfg, engine.run_once(cfg).summary()))
-    assert result.run_rows == unordered
+        unordered.append(((0, cell_index), run_index, cfg, engine.run_once(cfg).summary()))
+    assert result.runs == unordered
     assert len(calls) == 6 + 30
 
     calls.clear()
@@ -309,8 +349,9 @@ def test_a_cell_without_a_completed_run_gets_no_aggregate_row(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_once", capped)
     result = run_grid(replace(SMALL_GRID, protocols=("rcs", "mca", "mrdmca"), runs=3))
-    assert [row[1] for row in result.aggregate_rows] == ["rcs", "mrdmca"]
-    assert [(row[1], row[-1]) for row in result.run_rows] == (
+    assert [cfg.protocol for _, cfg, _ in result.cells] == ["rcs", "mrdmca"]
+    assert [row.split(",")[1] for row in _rows(aggregate_csv(result))] == ["rcs", "mrdmca"]
+    assert [(row.split(",")[1], row.split(",")[-1]) for row in _rows(runs_csv(result))] == (
         [("rcs", "yes")] * 3 + [("mca", "incomplete")] * 3 + [("mrdmca", "yes")] * 3)
     assert result.incomplete == 3
 
@@ -596,6 +637,28 @@ def test_cli_rejects_an_unwritable_output_before_any_run(tmp_path, monkeypatch, 
         assert not out.exists()
 
 
+def test_cli_rejects_two_flags_naming_one_file_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_once", _raise(AssertionError("a replication ran")))
+    monkeypatch.chdir(tmp_path)
+    files = {"grid.txt": GRID_TEXT, "dup.csv": "an earlier aggregate\n", "t.csv": "a trace\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "link.csv").symlink_to("dup.csv")
+    for args, flags, path in (
+            (RUN_ARGS + ["--out", "./dup.csv", "--runs-out", "dup.csv"], "--out and --runs-out",
+             "dup.csv"),
+            (RUN_ARGS + ["--out", str(tmp_path / "dup.csv"), "--runs-out", "link.csv"],
+             "--out and --runs-out", "link.csv"),
+            (RUN_ARGS + ["--trace", "t.csv", "--out", "t.csv"], "--trace and --out", "t.csv"),
+            (["sweep", "--config", "grid.txt", "--out", "grid.txt"], "--config and --out",
+             "grid.txt")):
+        assert main(args) == 2
+        assert _one_error_line(capsys) == f"rendezsim: {flags} name one file: {path}\n"
+    # no file was made, and each kept its text (the link reads dup.csv's)
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        **files, "link.csv": files["dup.csv"]}
+
+
 def test_cli_rejects_fewer_than_one_channel_in_one_line(tmp_path, capsys):
     out = tmp_path / "agg.csv"
     for channels in ("0", "-4"):
@@ -663,8 +726,13 @@ def test_cli_audit_names_the_row_of_a_malformed_cell(tmp_path, capsys):
         assert _one_error_line(capsys) == f"rendezsim: {runs_out}: row {bad_row!r}: {error}\n"
 
 
+def _rows(text):
+    """The data lines of a CSV's text: no metadata, no header."""
+    return [l for l in text.splitlines() if not l.startswith("#")][1:]
+
+
 def _body(path):
-    return [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")][1:]
+    return [l.split(",") for l in _rows(path.read_text())]
 
 
 @pytest.mark.parametrize("runs_file", ["runs.csv", "runs20.csv"])
