@@ -3,7 +3,7 @@
 import argparse
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import replace
 
 from .engine import IncompleteRun, run_once
@@ -77,15 +77,11 @@ def _run_and_emit(args, grids, trace=None):
         if created:
             os.remove(path)
     result = run_grid(*grids, workers=args.workers, trace=trace)
-    text = aggregate_csv(result)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        aggregate_csv(result, fh)
     if args.runs_out:
         with open(args.runs_out, "w", newline="") as fh:
-            fh.write(runs_csv(result))
+            runs_csv(result, fh)
     return 0
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 from collections import namedtuple
+from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, asdict, astuple, fields, replace
 from itertools import groupby, product
 from operator import attrgetter, itemgetter
@@ -178,6 +179,9 @@ def run_grid(*grids, workers=1, trace=None):
 
     Of each run only its RunSummary (None if capped) is kept, which a worker
     sends back alone, paired with its work item by position; no row is formed.
+    The worker count comes from the grids' cells, which are built (and so
+    checked) first; the pool then starts before the work list exists, so a
+    forked worker holds no copy of it and receives its chunks through the pool.
 
     trace, when given, is a writable text stream that receives the event
     trace of replication 0 of the first cell (see engine.run_once). That
@@ -185,23 +189,29 @@ def run_grid(*grids, workers=1, trace=None):
     if it hits the safety cap, IncompleteRun propagates instead of flagging
     the row, so a trace that was asked for never ends silently. workers below
     1 raise ValueError, and no more processes start than there are runs left.
+    Every exit, by return or by raise, shuts the pool down and joins its workers.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    items = [((g, cell_index), run_index, cfg) for g, grid in enumerate(grids)
-             for cell_index, run_index, cfg in _run_configs(grid)]
-    summaries = []
-    if trace is not None:  # replication 0 of the first cell moves to the front
-        items.sort(key=lambda item: item[:2] != ((0, 0), 0))
-        summaries.append(run_once(items[0][2], trace=trace).summary())
-    rest = items[len(summaries):]
-    workers = min(workers, len(rest))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries += pool.map(_execute, rest, chunksize=16)
-    else:
-        summaries += map(_execute, rest)
+    n_runs = sum(grid.runs * sum(1 for _ in grid.cells()) for grid in grids)
+    workers = min(workers, n_runs - (trace is not None))
+    with ExitStack() as stack:
+        pool = None
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # Under fork, the first submit forks every worker. A no-op submitted
+            # before the work list below exists keeps the list out of their memory.
+            pool.submit(int)
+        items = [((g, cell_index), run_index, cfg) for g, grid in enumerate(grids)
+                 for cell_index, run_index, cfg in _run_configs(grid)]
+        summaries = []
+        if trace is not None:  # replication 0 of the first cell moves to the front
+            items.sort(key=lambda item: item[:2] != ((0, 0), 0))
+            summaries.append(run_once(items[0][2], trace=trace).summary())
+        rest = items[len(summaries):]
+        summaries += (map(_execute, rest) if pool is None
+                      else pool.map(_execute, rest, chunksize=16))
     runs = sorted((item + (s,) for item, s in zip(items, summaries)), key=itemgetter(0, 1))
     cells = []
     for (g, _), cell in groupby(runs, itemgetter(0)):
@@ -212,33 +222,36 @@ def run_grid(*grids, workers=1, trace=None):
     return GridResult(grids, runs, cells, incomplete=summaries.count(None))
 
 
-def _csv_text(columns, rows, result):
+def _write_csv(out, columns, rows, result):
+    """Write the header block in one write, then each row in one write of its own."""
     from . import __version__
     grid = result.grids[0]  # sub-grids share the name and master seed
     hashes = "+".join(g.grid_hash() for g in result.grids)
-    lines = [
-        f"# rendezsim {__version__}",
-        f"# grid {grid.name} hash={hashes} master_seed={grid.master_seed}",
-        f"# incomplete_runs={result.incomplete} (flagged rows excluded from means)",
+    out.write(
+        f"# rendezsim {__version__}\n"
+        f"# grid {grid.name} hash={hashes} master_seed={grid.master_seed}\n"
+        f"# incomplete_runs={result.incomplete} (flagged rows excluded from means)\n"
         "# time unit: slots at half-slot resolution; ttr_full uses first "
-        "half-slot with N-1 and DNL equal to ground truth",
+        "half-slot with N-1 and DNL equal to ground truth\n"
         "# rate reseed cadence: dual clocks every |m_i| slots, modular clocks "
-        "every 2p steps (2p half-slots for emca, 2p slots for mca)",
-        ",".join(columns),
-    ]
-    return "\n".join(lines + [",".join(row) for row in rows]) + "\n"
+        "every 2p steps (2p half-slots for emca, 2p slots for mca)\n"
+        f"{','.join(columns)}\n")
+    write = out.write
+    for row in rows:
+        write(",".join(row) + "\n")
 
 
-def aggregate_csv(result):
-    """The aggregate CSV's text; aggregate_row forms each row only as it is joined."""
-    return _csv_text(AGGREGATE_COLUMNS, (aggregate_row(result.grids[g].name, cfg, agg)
-                                         for g, cfg, agg in result.cells), result)
+def aggregate_csv(result, out):
+    """Write the aggregate CSV to the text stream out, one row per write."""
+    _write_csv(out, AGGREGATE_COLUMNS, (aggregate_row(result.grids[g].name, cfg, agg)
+                                        for g, cfg, agg in result.cells), result)
 
 
-def runs_csv(result):
-    """The per-run CSV's text; run_row forms each row only as it is joined."""
-    return _csv_text(RUN_COLUMNS, (run_row(result.grids[g].name, run_index, cfg, summary)
-                                   for (g, _), run_index, cfg, summary in result.runs), result)
+def runs_csv(result, out):
+    """Write the per-run CSV to the text stream out, one row per write: run_row
+    forms each row just before it is written, so the CSV's text is never held whole."""
+    _write_csv(out, RUN_COLUMNS, (run_row(result.grids[g].name, run_index, cfg, summary)
+                                  for (g, _), run_index, cfg, summary in result.runs), result)
 
 
 BASELINE_PROTOCOLS = ("rcs", "mca", "emca", "mdmca")

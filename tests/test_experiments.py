@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import math
+import multiprocessing
 import pickle
 import subprocess
 import sys
@@ -62,11 +63,35 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
+        def submit(self, fn, *args):  # run_grid's early no-op, which forks the workers
+            fn(*args)
+
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+@pytest.fixture
+def children_at_work_list(monkeypatch):
+    """How many child processes were alive at each _run_configs call."""
+    seen = []
+    real = experiments._run_configs
+
+    def recording(grid):
+        seen.append(len(multiprocessing.active_children()))
+        return real(grid)
+
+    monkeypatch.setattr(experiments, "_run_configs", recording)
+    return seen
+
+
+def _text(write_csv, result):
+    """What write_csv (runs_csv or aggregate_csv) writes for result, as one string."""
+    out = io.StringIO()
+    write_csv(result, out)
+    return out.getvalue()
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -91,17 +116,66 @@ def test_grid_cells_enumerate_the_product():
 def test_worker_count_does_not_change_results():
     serial = run_grid(SMALL_GRID, workers=1)
     parallel = run_grid(SMALL_GRID, workers=3)
-    assert aggregate_csv(serial) == aggregate_csv(parallel)
-    assert runs_csv(serial) == runs_csv(parallel)
+    assert _text(aggregate_csv, serial) == _text(aggregate_csv, parallel)
+    assert _text(runs_csv, serial) == _text(runs_csv, parallel)
 
 
 def test_worker_pool_never_outnumbers_the_runs(pool_sizes):
     grid = replace(SMALL_GRID, runs=1)              # two cells, one run each
     result = run_grid(grid, workers=16)
     assert pool_sizes == [2]
-    assert runs_csv(result) == runs_csv(run_grid(grid))
+    assert _text(runs_csv, result) == _text(runs_csv, run_grid(grid))
     run_grid(grid, workers=16, trace=io.StringIO())  # one run left: no pool
     assert pool_sizes == [2]
+
+
+def test_workers_start_before_the_work_list_exists(children_at_work_list):
+    b = replace(SMALL_GRID, protocols=("rcs",))
+    result = run_grid(SMALL_GRID, b, workers=2)
+    assert children_at_work_list == [2, 2]     # forked before either grid's items
+    assert multiprocessing.active_children() == []
+    assert _text(runs_csv, result) == _text(runs_csv, run_grid(SMALL_GRID, b))
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raise_boom(*args, **kwargs):
+    raise _Boom
+
+
+@pytest.mark.parametrize("failing", ["traced run capped", "work list", "worker run"])
+def test_a_sweep_that_raises_leaves_no_worker_behind(failing, children_at_work_list,
+                                                     monkeypatch):
+    if failing == "traced run capped":  # a real cap: no N=3 run finishes in one slot
+        with pytest.raises(IncompleteRun):
+            run_grid(replace(SMALL_GRID, max_slots=1), workers=2, trace=io.StringIO())
+        assert children_at_work_list == [2]
+    else:  # the forked workers inherit a patched run_once
+        monkeypatch.setattr(experiments, "_run_configs" if failing == "work list"
+                            else "run_once", _raise_boom)
+        with pytest.raises(_Boom):
+            run_grid(SMALL_GRID, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_runs_csv_hands_the_file_one_row_per_write():
+    class Recording:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    result = run_grid(SMALL_GRID)
+    out = Recording()
+    runs_csv(result, out)
+    header, *rows = out.writes
+    assert header.endswith(",".join(RUN_COLUMNS) + "\n") and header.count("\n") == 6
+    assert rows == [",".join(run_row(result.grids[g].name, run_index, cfg, s)) + "\n"
+                    for (g, _), run_index, cfg, s in result.runs]
+    assert "".join(out.writes) == _text(runs_csv, result)
 
 
 def test_one_sweep_over_sub_grids_gives_the_rows_of_each_run_alone():
@@ -111,8 +185,9 @@ def test_one_sweep_over_sub_grids_gives_the_rows_of_each_run_alone():
     alone = [run_grid(a), run_grid(b)]
     for both in (run_grid(a, b), run_grid(a, b, workers=2)):
         for csv in (runs_csv, aggregate_csv):
-            assert _rows(csv(both)) == _rows(csv(alone[0])) + _rows(csv(alone[1]))
-        for text in (runs_csv(both), aggregate_csv(both)):
+            assert _rows(_text(csv, both)) == (_rows(_text(csv, alone[0]))
+                                               + _rows(_text(csv, alone[1])))
+        for text in (_text(runs_csv, both), _text(aggregate_csv, both)):
             assert f"# grid small hash={a.grid_hash()}+{b.grid_hash()} master_seed=7\n" in text
 
 
@@ -148,7 +223,7 @@ def test_a_sweep_result_holds_numbers(monkeypatch):
                                      for (g, _), run_index, cfg, s in result.runs]),
             (aggregate_csv, AGGREGATE_COLUMNS, [aggregate_row(result.grids[g].name, cfg, agg)
                                                 for g, cfg, agg in result.cells])):
-        lines = csv(result).splitlines()
+        lines = _text(csv, result).splitlines()
         at = lines.index(",".join(columns))
         assert lines[at + 1:] == [",".join(row) for row in rows]
 
@@ -168,8 +243,8 @@ def test_worker_count_does_not_change_results_under_fixed_topology():
                         runs=5, master_seed=2, fix_topology=True)
     serial = run_grid(grid, workers=1)
     parallel = run_grid(grid, workers=2)
-    assert runs_csv(parallel) == runs_csv(serial)
-    assert aggregate_csv(parallel) == aggregate_csv(serial)
+    assert _text(runs_csv, parallel) == _text(runs_csv, serial)
+    assert _text(aggregate_csv, parallel) == _text(aggregate_csv, serial)
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -250,7 +325,7 @@ def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
 
 
 def test_csv_shape_and_metadata():
-    text = aggregate_csv(run_grid(SMALL_GRID))
+    text = _text(aggregate_csv, run_grid(SMALL_GRID))
     lines = text.splitlines()
     meta = [l for l in lines if l.startswith("#")]
     body = [l for l in lines if not l.startswith("#")]
@@ -350,8 +425,9 @@ def test_a_cell_without_a_completed_run_gets_no_aggregate_row(monkeypatch):
     monkeypatch.setattr(experiments, "run_once", capped)
     result = run_grid(replace(SMALL_GRID, protocols=("rcs", "mca", "mrdmca"), runs=3))
     assert [cfg.protocol for _, cfg, _ in result.cells] == ["rcs", "mrdmca"]
-    assert [row.split(",")[1] for row in _rows(aggregate_csv(result))] == ["rcs", "mrdmca"]
-    assert [(row.split(",")[1], row.split(",")[-1]) for row in _rows(runs_csv(result))] == (
+    aggregate_rows, run_rows = _rows(_text(aggregate_csv, result)), _rows(_text(runs_csv, result))
+    assert [row.split(",")[1] for row in aggregate_rows] == ["rcs", "mrdmca"]
+    assert [(row.split(",")[1], row.split(",")[-1]) for row in run_rows] == (
         [("rcs", "yes")] * 3 + [("mca", "incomplete")] * 3 + [("mrdmca", "yes")] * 3)
     assert result.incomplete == 3
 

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import rendezsim.topology as topology
+from rendezsim.engine import DEFAULT_RANGE_M, default_area_side
 from rendezsim.topology import (
     DeploymentError,
     _build_topology,
@@ -85,6 +87,22 @@ def test_deployment_error_gives_the_area_to_a_tenth_of_a_metre_on_one_line():
     message = str(err.value)
     assert "of 50 nodes in 700.0x700.0 m with r=100.0 m after 20 attempts;" in message
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("n_nodes, seeds, low, high", [(10, 200, 9, 15), (20, 100, 130, 240)])
+def test_mean_deploy_attempts_at_the_default_area(n_nodes, seeds, low, high, monkeypatch):
+    # engine.default_area_side's docstring: about 12 and 180 (11.7 and 181.9 here)
+    attempts = []
+
+    def counting(coords, r):
+        attempts.append(1)
+        return _build_topology(coords, r)
+
+    monkeypatch.setattr(topology, "_build_topology", counting)
+    side = default_area_side(n_nodes)
+    for seed in range(1000, 1000 + seeds):
+        deploy(n_nodes, (side, side), DEFAULT_RANGE_M, rng_seed=seed)
+    assert low <= len(attempts) / seeds <= high
 
 
 def test_deploy_is_deterministic_in_the_seed():
