@@ -4,7 +4,6 @@ import argparse
 import os
 import sys
 from contextlib import ExitStack, nullcontext
-from dataclasses import replace
 
 from .engine import IncompleteRun, run_once
 from .experiments import (
@@ -114,7 +113,7 @@ def _cmd_sweep(args):
     with open(args.config) as fh:
         grid = parse_grid_config(fh.read())
     if args.seed is not None:
-        grid = replace(grid, master_seed=args.seed)
+        grid = grid._replace(master_seed=args.seed)  # ScenarioGrid checks no seed
     return _run_and_emit(args, [grid])
 
 

@@ -3,7 +3,6 @@
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import eq, itemgetter
@@ -32,22 +31,19 @@ def default_area_side(n_nodes):
     return DEFAULT_RANGE_M * min(0.5 * n_nodes ** 0.8, 0.99 * math.sqrt(n_nodes))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One cell and one replication's seeds; n_nodes sets the geometry (see _deployment)."""
+class RunConfig(namedtuple(
+        "RunConfig", "protocol termination n_nodes pool_size similarity pr "
+        "max_slots seed topo_seed chan_seed", defaults=(DEFAULT_MAX_SLOTS, 0, None, None))):
+    """One cell and one replication's seeds; n_nodes sets the geometry (see _deployment).
 
-    protocol: str
-    termination: str
-    n_nodes: int
-    pool_size: int
-    similarity: int
-    pr: PrParams
-    max_slots: int = DEFAULT_MAX_SLOTS
-    seed: int = 0
-    topo_seed: int = None       # None = derive from seed
-    chan_seed: int = None
+    topo_seed and chan_seed default to None: derive them from seed. The
+    fields are checked on construction; _replace skips the checks.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.termination not in proto.TERMINATION_MODES:
@@ -60,6 +56,7 @@ class RunConfig:
             raise ValueError(f"similarity must be in [1, {self.pool_size}], got {self.similarity}")
         if self.max_slots <= 0:
             raise ValueError(f"max_slots must be positive, got {self.max_slots}")
+        return self
 
     @property
     def validate_coords(self):
@@ -70,8 +67,7 @@ class RunConfig:
         return self.protocol == "mrdmca" or self.termination == proto.CONTROLLED
 
 
-@dataclass
-class RunRecord:
+class RunRecord(namedtuple("RunRecord", "cfg slots_used t_n1 t_full ptm ctm final_dnl")):
     """Timing marks and correctness of one replication of cfg.
 
     Times are in slots at half-slot resolution (multiples of 0.5). t_full is
@@ -88,13 +84,7 @@ class RunRecord:
     only each run's summary() and drops the record (experiments.run_grid).
     """
 
-    cfg: RunConfig
-    slots_used: int
-    t_n1: list
-    t_full: list
-    ptm: list
-    ctm: float
-    final_dnl: list
+    __slots__ = ()
 
     @property
     def t_term(self):
@@ -166,8 +156,8 @@ def _deployment(n_nodes, topo_seed):
     """deploy in a default_area_side(n_nodes) square at DEFAULT_RANGE_M.
 
     deploy is pure and its result immutable, so runs with equal arguments
-    share one; keeping only the latest keeps memory flat, and runs sorted by
-    (n_nodes, topo_seed) deploy once per key (see experiments._run_configs).
+    share one; keeping only the latest keeps memory flat, and a sweep's runs
+    that share a key run back to back (see experiments._units).
     """
     side = default_area_side(n_nodes)
     return deploy(n_nodes, (side, side), DEFAULT_RANGE_M, topo_seed)

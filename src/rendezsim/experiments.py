@@ -4,9 +4,8 @@ import hashlib
 import math
 from collections import namedtuple
 from contextlib import ExitStack
-from dataclasses import MISSING, dataclass, asdict, astuple, fields, replace
-from itertools import groupby, product
-from operator import attrgetter, itemgetter
+from itertools import chain, cycle, product
+from operator import attrgetter
 
 from .engine import RunConfig, run_once, IncompleteRun, DEFAULT_MAX_SLOTS, DEFAULT_RANGE_M
 from .hopping import PROTOCOLS
@@ -24,7 +23,7 @@ RUN_COLUMNS = [
     "ttr_policy", "ttr_n1", "ttr_full", "ctm", "completed",
 ]
 # the metrics are AggregateMetrics' fields, in order; floats with 4 decimal places
-AGGREGATE_COLUMNS = ["scenario", *_SCENARIO_COLUMNS, *(f.name for f in fields(AggregateMetrics))]
+AGGREGATE_COLUMNS = ["scenario", *_SCENARIO_COLUMNS, *AggregateMetrics._fields]
 
 
 def derive_seed(master_seed, *parts):
@@ -34,25 +33,22 @@ def derive_seed(master_seed, *parts):
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass(frozen=True)
-class ScenarioGrid:
-    """Cartesian scenario grid; cells are enumerated deterministically."""
+class ScenarioGrid(namedtuple(
+        "ScenarioGrid", "name protocols terminations n_values c_values m_values pr_levels "
+        "runs master_seed max_slots fix_topology", defaults=(0, DEFAULT_MAX_SLOTS, False))):
+    """Cartesian scenario grid; cells are enumerated deterministically.
 
-    name: str
-    protocols: tuple
-    terminations: tuple
-    n_values: tuple
-    c_values: tuple
-    m_values: tuple
-    pr_levels: tuple       # names: "off", "high" or "lx:ly"
-    runs: int
-    master_seed: int = 0
-    max_slots: int = DEFAULT_MAX_SLOTS
-    fix_topology: bool = False
+    The lists are tuples, pr_levels of names: "off", "high" or "lx:ly".
+    runs is checked on construction; _replace skips the check.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.runs < 1:
             raise ValueError(f"runs must be at least 1, got {self.runs}")
+        return self
 
     def cells(self):
         for idx, (protocol, termination, n, c, m, pr) in enumerate(product(
@@ -65,42 +61,74 @@ class ScenarioGrid:
             )
 
     def grid_hash(self):
-        return hashlib.sha256(repr(asdict(self)).encode()).hexdigest()[:16]
+        return hashlib.sha256(repr(self._asdict()).encode()).hexdigest()[:16]
 
 
-def _run_configs(grid):
-    """All (cell_index, run_index, cfg) work items in deterministic order.
+# runs per work unit: enough units that every worker stays busy to the end
+_UNIT_RUNS = 16
+
+
+def _run_seeds(grid, cell_index, cfg, run_index):
+    """(seed, topo_seed, chan_seed) of run run_index of the grid's cell cell_index, cfg.
 
     Seeds derive from (master_seed, cell_index, run_index). With fix_topology
     the deployment and channel seeds depend only on fields shared across
     protocols and PR levels, so run k sees identical inputs in every cell;
-    the items are then ordered by engine._deployment's key (n_nodes,
-    topo_seed), cells in order within each key. DEFAULT_RANGE_M stays among
+    without, they are None (derived from seed). DEFAULT_RANGE_M stays among
     the topology seed's parts, which keeps every seed unchanged.
     """
-    items = []
+    seed = derive_seed(grid.master_seed, "cell", cell_index, "run", run_index)
+    if not grid.fix_topology:
+        return seed, None, None
+    return (seed, derive_seed(grid.master_seed, "topo", cfg.n_nodes, DEFAULT_RANGE_M, run_index),
+            derive_seed(grid.master_seed, "chan", cfg.n_nodes, cfg.pool_size,
+                        cfg.similarity, run_index))
+
+
+def _seeded(cfg, seeds):
+    """The RunConfig of a run: its cell's cfg with the run's _run_seeds."""
+    seed, topo_seed, chan_seed = seeds
+    return cfg._replace(seed=seed, topo_seed=topo_seed, chan_seed=chan_seed)
+
+
+def _units(g, grid):
+    """The work units of grid, grids[g] of a sweep: ((g, cell_indexes, start), cfgs, seeds).
+
+    A unit is the runs start, start + 1, ... of the cells cell_indexes of
+    grid, whose configs are cfgs; seeds holds their _run_seeds, run-major.
+    Without fix_topology a unit is one cell's run range. With it, a unit is
+    one run range over the cells of one N, whose run k shares one
+    deployment (engine._deployment): run-major, each process builds it once.
+    """
+    groups = {}
     for cell_index, cfg in grid.cells():
-        for run_index in range(grid.runs):
-            seed = derive_seed(grid.master_seed, "cell", cell_index, "run", run_index)
-            kwargs = {"seed": seed}
-            if grid.fix_topology:
-                kwargs["topo_seed"] = derive_seed(
-                    grid.master_seed, "topo", cfg.n_nodes, DEFAULT_RANGE_M, run_index)
-                kwargs["chan_seed"] = derive_seed(
-                    grid.master_seed, "chan", cfg.n_nodes, cfg.pool_size,
-                    cfg.similarity, run_index)
-            items.append((cell_index, run_index, replace(cfg, **kwargs)))
-    if grid.fix_topology:
-        items.sort(key=lambda item: (item[2].n_nodes, item[2].topo_seed))
-    return items
+        key = cfg.n_nodes if grid.fix_topology else cell_index
+        groups.setdefault(key, []).append((cell_index, cfg))
+    for group in groups.values():
+        span = max(1, _UNIT_RUNS // len(group))
+        cell_indexes, cfgs = zip(*group)
+        for start in range(0, grid.runs, span):
+            seeds = [_run_seeds(grid, cell_index, cfg, run_index)
+                     for run_index in range(start, min(start + span, grid.runs))
+                     for cell_index, cfg in group]
+            yield (g, cell_indexes, start), cfgs, seeds
 
 
-def _execute(item):
-    """The RunSummary of item's run, or None for a run that hit the safety cap."""
-    try:
-        return run_once(item[2]).summary()
-    except IncompleteRun:
-        return None
+def _execute(unit, trace=None):
+    """unit's key and the RunSummary of each of its runs, in order; None for a run
+    that hit the safety cap. trace, when given, receives the first run's event
+    trace, and that run's IncompleteRun propagates."""
+    key, cfgs, seeds = unit
+    runs = [_seeded(cfg, run_seeds) for cfg, run_seeds in zip(cycle(cfgs), seeds)]
+    summaries = []
+    if trace is not None:
+        summaries.append(run_once(runs[0], trace=trace).summary())
+    for cfg in runs[len(summaries):]:
+        try:
+            summaries.append(run_once(cfg).summary())
+        except IncompleteRun:
+            summaries.append(None)
+    return key, summaries
 
 
 def fmt(value):
@@ -162,13 +190,14 @@ def read_run_row(cells):
 
 def aggregate_row(scenario, cfg, agg):
     """One aggregate CSV row (list of strings) in AGGREGATE_COLUMNS order."""
-    return [scenario, *_scenario_cells(cfg), *map(fmt, astuple(agg))]
+    return [scenario, *_scenario_cells(cfg), *map(fmt, agg)]
 
 
 GridResult = namedtuple("GridResult", "grids runs cells incomplete")
-GridResult.__doc__ = """One sweep over grids, as numbers: runs, the sorted ((grid, cell), run_index,
-cfg, RunSummary or None if capped) of each run; cells, (grid, cfg, AggregateMetrics) of each cell
-with a completed run; grid indexes grids, and incomplete counts the capped runs."""
+GridResult.__doc__ = """One sweep over grids, as numbers: runs, the ((grid, cell), cfg, summaries)
+of each cell in order, where summaries holds the RunSummary of each run by index (None if
+capped) and cfg is the cell's config without seeds; cells, (grid, cfg, AggregateMetrics) of each
+cell with a completed run; grid indexes grids, and incomplete counts the capped runs."""
 
 
 def run_grid(*grids, workers=1, trace=None):
@@ -177,11 +206,13 @@ def run_grid(*grids, workers=1, trace=None):
     baseline`'s two, so they share a name and master seed: its header names
     one of each, with every grid's hash.
 
-    Of each run only its RunSummary (None if capped) is kept, which a worker
-    sends back alone, paired with its work item by position; no row is formed.
-    The worker count comes from the grids' cells, which are built (and so
-    checked) first; the pool then starts before the work list exists, so a
-    forked worker holds no copy of it and receives its chunks through the pool.
+    The work goes out in units (_units) that carry their runs' seeds, derived
+    here, so a worker only builds each RunConfig and sends back the units'
+    RunSummary values (None if capped); of each cell only those are kept,
+    by run index, and runs_csv derives the seeds again as it writes. The
+    worker count comes from the grids' cells, which are built (and so
+    checked) first; the pool then starts before any unit exists, so a forked
+    worker holds no copy of them and receives each through the pool.
 
     trace, when given, is a writable text stream that receives the event
     trace of replication 0 of the first cell (see engine.run_once). That
@@ -193,33 +224,32 @@ def run_grid(*grids, workers=1, trace=None):
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    n_runs = sum(grid.runs * sum(1 for _ in grid.cells()) for grid in grids)
-    workers = min(workers, n_runs - (trace is not None))
+    runs = [((g, cell_index), cfg, [None] * grid.runs) for g, grid in enumerate(grids)
+            for cell_index, cfg in grid.cells()]
+    workers = min(workers, sum(len(summaries) for *_, summaries in runs) - (trace is not None))
     with ExitStack() as stack:
         pool = None
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             # Under fork, the first submit forks every worker. A no-op submitted
-            # before the work list below exists keeps the list out of their memory.
+            # before the units below exist keeps them out of their memory.
             pool.submit(int)
-        items = [((g, cell_index), run_index, cfg) for g, grid in enumerate(grids)
-                 for cell_index, run_index, cfg in _run_configs(grid)]
-        summaries = []
-        if trace is not None:  # replication 0 of the first cell moves to the front
-            items.sort(key=lambda item: item[:2] != ((0, 0), 0))
-            summaries.append(run_once(items[0][2], trace=trace).summary())
-        rest = items[len(summaries):]
-        summaries += (map(_execute, rest) if pool is None
-                      else pool.map(_execute, rest, chunksize=16))
-    runs = sorted((item + (s,) for item, s in zip(items, summaries)), key=itemgetter(0, 1))
-    cells = []
-    for (g, _), cell in groupby(runs, itemgetter(0)):
-        cell = list(cell)
-        completed = [summary for *_, summary in cell if summary is not None]
-        if completed:
-            cells.append((g, cell[0][2], aggregate(completed)))
-    return GridResult(grids, runs, cells, incomplete=summaries.count(None))
+        # built as the pool takes them, and each dropped once it has run
+        units = (unit for g, grid in enumerate(grids) for unit in _units(g, grid))
+        # with a trace, the first unit, whose first run is replication 0 of
+        # the first cell, runs here first
+        traced = [_execute(next(units), trace)] if trace is not None else []
+        results = chain(traced, map(_execute, units) if pool is None else pool.map(_execute, units))
+        by_cell = {key: summaries for key, _, summaries in runs}
+        for (g, cell_indexes, start), summaries in results:
+            for k, summary in enumerate(summaries):  # run-major over cell_indexes
+                row, cell = divmod(k, len(cell_indexes))
+                by_cell[g, cell_indexes[cell]][start + row] = summary
+    cells = [(g, cfg, aggregate(completed)) for (g, _), cfg, summaries in runs
+             if (completed := [s for s in summaries if s is not None])]
+    return GridResult(grids, runs, cells,
+                      incomplete=sum(summaries.count(None) for *_, summaries in runs))
 
 
 def _write_csv(out, columns, rows, result):
@@ -248,10 +278,14 @@ def aggregate_csv(result, out):
 
 
 def runs_csv(result, out):
-    """Write the per-run CSV to the text stream out, one row per write: run_row
-    forms each row just before it is written, so the CSV's text is never held whole."""
-    _write_csv(out, RUN_COLUMNS, (run_row(result.grids[g].name, run_index, cfg, summary)
-                                  for (g, _), run_index, cfg, summary in result.runs), result)
+    """Write the per-run CSV to the text stream out, one row per write: each
+    row's seeds are derived again (_run_seeds) and run_row forms the row just
+    before it is written, so the CSV's text is never held whole."""
+    _write_csv(out, RUN_COLUMNS, (
+        run_row(result.grids[g].name, run_index,
+                _seeded(cfg, _run_seeds(result.grids[g], cell_index, cfg, run_index)), summary)
+        for (g, cell_index), cfg, summaries in result.runs
+        for run_index, summary in enumerate(summaries)), result)
 
 
 BASELINE_PROTOCOLS = ("rcs", "mca", "emca", "mdmca")
@@ -267,12 +301,12 @@ def paper_grid(name, runs=None, master_seed=0):
     if name == "baseline":
         # conventional protocols stop at N-1; mrdmca uses controlled stop,
         # measured as two sub-grids of one run_grid sweep
-        return (replace(grid, protocols=BASELINE_PROTOCOLS, terminations=("baseline",)),
-                replace(grid, protocols=("mrdmca",)))
+        return (grid._replace(protocols=BASELINE_PROTOCOLS, terminations=("baseline",)),
+                grid._replace(protocols=("mrdmca",)))
     if name == "controlled":
         return (grid,)
     if name == "scale":
-        return (replace(grid, n_values=(20,), c_values=(20,)),)
+        return (grid._replace(n_values=(20,), c_values=(20,)),)
     raise ValueError(f"unknown paper grid {name!r}; use baseline, controlled or scale")
 
 
@@ -333,7 +367,7 @@ def parse_grid_config(text):
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
     values.setdefault("name", "sweep")
-    required = {f.name for f in fields(ScenarioGrid) if f.default is MISSING}
+    required = ScenarioGrid._fields[:-len(ScenarioGrid._field_defaults)]
     missing = sorted(key for key, (field, *_) in _CONFIG_KEYS.items()
                      if field in required and field not in values)
     if missing:

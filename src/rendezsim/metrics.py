@@ -1,7 +1,7 @@
 """PTM, CTM, ATTR, ATM and PTDD as numbers; experiments writes them as CSV cells."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 Z95 = 1.96
 
@@ -44,18 +44,15 @@ def _ci95(values):
     return Z95 * math.sqrt(var / n)
 
 
-@dataclass(frozen=True)
-class AggregateMetrics:
-    """One cell's metrics; the fields are the aggregate CSV's last columns, in order."""
+class AggregateMetrics(namedtuple(
+        "AggregateMetrics", "runs attr_policy attr_n1 attr_full atm ptdd attr_ci95 atm_ci95")):
+    """One cell's metrics; the fields are the aggregate CSV's last columns, in order.
 
-    runs: int
-    attr_policy: float   # None when the policy never fired
-    attr_n1: float
-    attr_full: float     # None when runs stopped before full discovery
-    atm: float
-    ptdd: float          # None unless both n1 and full marks exist
-    attr_ci95: float
-    atm_ci95: float
+    attr_policy is None when the policy never fired, attr_full when runs
+    stopped before full discovery, and ptdd unless both n1 and full marks exist.
+    """
+
+    __slots__ = ()
 
 
 def aggregate(summaries):

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 # High PR activity: mean ON sojourn 8.5 slots, mean OFF sojourn 1.5 slots,
 # giving a stationary busy fraction of 0.85.
@@ -13,8 +13,7 @@ HIGH_MEAN_OFF = 1.5
 MAX_RATE = 1000.0
 
 
-@dataclass(frozen=True)
-class PrParams:
+class PrParams(namedtuple("PrParams", "lambda_x lambda_y enabled", defaults=(1.0, 1.0, True))):
     """Rates of the ON/OFF renewal process, in 1/slots.
 
     lambda_x drives OFF->ON (mean OFF duration 1/lambda_x); lambda_y drives
@@ -23,16 +22,16 @@ class PrParams:
     slot. With enabled=False every channel is permanently idle.
     """
 
-    lambda_x: float = 1.0
-    lambda_y: float = 1.0
-    enabled: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a nan or inf rate fails the comparison too
         if self.enabled and not all(0 < rate <= MAX_RATE
                                     for rate in (self.lambda_x, self.lambda_y)):
             raise ValueError(f"PR rates must be finite, strictly positive and at most "
                              f"{MAX_RATE:g} per slot, got {self.lambda_x}:{self.lambda_y}")
+        return self
 
     @property
     def utilization(self):

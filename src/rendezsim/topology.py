@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_ATTEMPT_CAP = 10_000
 
@@ -11,45 +11,42 @@ class DeploymentError(RuntimeError):
     """Raised when no connected placement is found within the attempt cap."""
 
 
-@dataclass(frozen=True)
-class GroundTopology:
+class GroundTopology(namedtuple("GroundTopology", "coords dnl_star")):
     """Node coordinates plus the unit-disk ground truth derived from them.
 
-    dnl_star[i] holds the true direct neighbours of node i (distance <= r,
-    inclusive). Deployments are always connected, so every other node is
-    reachable from i through dnl_star.
+    coords holds one (x, y) per node. dnl_star[i] is the frozenset of the
+    true direct neighbours of node i (distance <= r, inclusive). Deployments
+    are always connected, so every other node is reachable from i through
+    dnl_star.
     """
 
-    coords: tuple          # tuple of (x, y) per node
-    dnl_star: tuple        # tuple of frozenset per node
-
-
-def _is_connected(adj):
-    seen, stack = {0}, [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj)
+    __slots__ = ()
 
 
 def _build_topology(coords, r):
-    """Ground truth of one placement, or None when it is not connected."""
-    n = len(coords)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        xi, yi = coords[i]
-        for j in range(i + 1, n):
-            xj, yj = coords[j]
-            if math.hypot(xi - xj, yi - yj) <= r:
+    """Ground truth of one placement, or None when it is not connected.
+
+    Node 0's component grows first, each newly reached node measured only
+    to the nodes not yet reached, so a disconnected placement is rejected
+    after its first component; the edge sets are built only for a
+    connected one.
+    """
+    dist = math.dist
+    unreached, frontier = list(range(1, len(coords))), [0]
+    while frontier and unreached:
+        here, far = coords[frontier.pop()], []
+        for j in unreached:
+            (frontier if dist(here, coords[j]) <= r else far).append(j)
+        unreached = far
+    if unreached:
+        return None
+    adj = [set() for _ in coords]
+    for i, here in enumerate(coords):
+        for j in range(i + 1, len(coords)):
+            if dist(here, coords[j]) <= r:
                 adj[i].add(j)
                 adj[j].add(i)
-    if not _is_connected(adj):
-        return None
-    return GroundTopology(coords=tuple(coords),
-                          dnl_star=tuple(frozenset(near) for near in adj))
+    return GroundTopology(tuple(coords), tuple(map(frozenset, adj)))
 
 
 def deploy(n_nodes, area, r, rng_seed, max_attempts=DEFAULT_ATTEMPT_CAP):
@@ -64,10 +61,10 @@ def deploy(n_nodes, area, r, rng_seed, max_attempts=DEFAULT_ATTEMPT_CAP):
     if r <= 0:
         raise ValueError("transmission range must be positive")
     width, height = area
-    rng = random.Random(rng_seed)
+    rnd = random.Random(rng_seed).random
     for _ in range(max_attempts):
-        coords = [(rng.uniform(0.0, width), rng.uniform(0.0, height))
-                  for _ in range(n_nodes)]
+        # uniform(0, w) draws 0.0 + w * random(): the same floats, bit for bit
+        coords = [(width * rnd(), height * rnd()) for _ in range(n_nodes)]
         topo = _build_topology(coords, r)
         if topo is not None:
             return topo

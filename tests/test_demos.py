@@ -2,7 +2,6 @@
 
 import importlib.util
 import pathlib
-from dataclasses import replace
 
 import pytest
 
@@ -43,7 +42,7 @@ def test_the_premature_termination_demo_runs(monkeypatch, capsys):
 
 def test_the_protocol_comparison_demo_reads_its_table_off_the_cells(monkeypatch, capsys):
     demo = load(DEMO_DIR / "03_protocol_comparison.py")
-    monkeypatch.setattr(demo, "GRID", replace(demo.GRID, runs=2))
+    monkeypatch.setattr(demo, "GRID", demo.GRID._replace(runs=2))
     demo.main()
     out = capsys.readouterr().out
     assert all(f"\n{proto:<10}" in out for proto in demo.GRID.protocols)

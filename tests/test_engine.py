@@ -1,7 +1,6 @@
 """Simulation-loop tests: meeting pairs, collisions, PR deferral, golden runs, determinism."""
 
 import io
-from dataclasses import replace
 
 import pytest
 
@@ -191,7 +190,7 @@ def test_topo_and_chan_seeds_pin_the_inputs():
     cfg_b = make_cfg(n_nodes=5, seed=2, topo_seed=100, chan_seed=200)
     rec_a, rec_b = run_once(cfg_a), run_once(cfg_b)
     # same ground truth, different clock/PR randomness
-    assert rec_a.cfg == replace(rec_b.cfg, seed=1)
+    assert rec_a.cfg == rec_b.cfg._replace(seed=1)
     assert rec_a.cfg.seed != rec_b.cfg.seed
 
 

@@ -4,10 +4,10 @@ import concurrent.futures
 import io
 import math
 import multiprocessing
+import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,6 @@ from rendezsim.experiments import (
     RUN_COLUMNS,
     GridResult,
     ScenarioGrid,
-    _run_configs,
     aggregate_csv,
     aggregate_row,
     derive_seed,
@@ -75,15 +74,15 @@ def pool_sizes(monkeypatch):
 
 @pytest.fixture
 def children_at_work_list(monkeypatch):
-    """How many child processes were alive at each _run_configs call."""
+    """How many child processes were alive at each _units call."""
     seen = []
-    real = experiments._run_configs
+    real = experiments._units
 
-    def recording(grid):
+    def recording(*args):
         seen.append(len(multiprocessing.active_children()))
-        return real(grid)
+        return real(*args)
 
-    monkeypatch.setattr(experiments, "_run_configs", recording)
+    monkeypatch.setattr(experiments, "_units", recording)
     return seen
 
 
@@ -92,6 +91,15 @@ def _text(write_csv, result):
     out = io.StringIO()
     write_csv(result, out)
     return out.getvalue()
+
+
+def _runs(result):
+    """(grid name, run_index, RunConfig, RunSummary or None) of each row of result."""
+    for (g, cell_index), cell_cfg, summaries in result.runs:
+        grid = result.grids[g]
+        for run_index, summary in enumerate(summaries):
+            seeds = experiments._run_seeds(grid, cell_index, cell_cfg, run_index)
+            yield grid.name, run_index, experiments._seeded(cell_cfg, seeds), summary
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -121,7 +129,7 @@ def test_worker_count_does_not_change_results():
 
 
 def test_worker_pool_never_outnumbers_the_runs(pool_sizes):
-    grid = replace(SMALL_GRID, runs=1)              # two cells, one run each
+    grid = SMALL_GRID._replace(runs=1)              # two cells, one run each
     result = run_grid(grid, workers=16)
     assert pool_sizes == [2]
     assert _text(runs_csv, result) == _text(runs_csv, run_grid(grid))
@@ -130,9 +138,9 @@ def test_worker_pool_never_outnumbers_the_runs(pool_sizes):
 
 
 def test_workers_start_before_the_work_list_exists(children_at_work_list):
-    b = replace(SMALL_GRID, protocols=("rcs",))
+    b = SMALL_GRID._replace(protocols=("rcs",))
     result = run_grid(SMALL_GRID, b, workers=2)
-    assert children_at_work_list == [2, 2]     # forked before either grid's items
+    assert children_at_work_list == [2, 2]     # forked before either grid's units
     assert multiprocessing.active_children() == []
     assert _text(runs_csv, result) == _text(runs_csv, run_grid(SMALL_GRID, b))
 
@@ -150,10 +158,10 @@ def test_a_sweep_that_raises_leaves_no_worker_behind(failing, children_at_work_l
                                                      monkeypatch):
     if failing == "traced run capped":  # a real cap: no N=3 run finishes in one slot
         with pytest.raises(IncompleteRun):
-            run_grid(replace(SMALL_GRID, max_slots=1), workers=2, trace=io.StringIO())
+            run_grid(SMALL_GRID._replace(max_slots=1), workers=2, trace=io.StringIO())
         assert children_at_work_list == [2]
     else:  # the forked workers inherit a patched run_once
-        monkeypatch.setattr(experiments, "_run_configs" if failing == "work list"
+        monkeypatch.setattr(experiments, "_units" if failing == "work list"
                             else "run_once", _raise_boom)
         with pytest.raises(_Boom):
             run_grid(SMALL_GRID, workers=2)
@@ -173,15 +181,14 @@ def test_runs_csv_hands_the_file_one_row_per_write():
     runs_csv(result, out)
     header, *rows = out.writes
     assert header.endswith(",".join(RUN_COLUMNS) + "\n") and header.count("\n") == 6
-    assert rows == [",".join(run_row(result.grids[g].name, run_index, cfg, s)) + "\n"
-                    for (g, _), run_index, cfg, s in result.runs]
+    assert rows == [",".join(run_row(*run)) + "\n" for run in _runs(result)]
     assert "".join(out.writes) == _text(runs_csv, result)
 
 
 def test_one_sweep_over_sub_grids_gives_the_rows_of_each_run_alone():
     a = SMALL_GRID
-    b = replace(SMALL_GRID, protocols=("rcs",), terminations=("baseline", "run_to_full"),
-                runs=3, fix_topology=True)
+    b = SMALL_GRID._replace(protocols=("rcs",), terminations=("baseline", "run_to_full"),
+                            runs=3, fix_topology=True)
     alone = [run_grid(a), run_grid(b)]
     for both in (run_grid(a, b), run_grid(a, b, workers=2)):
         for csv in (runs_csv, aggregate_csv):
@@ -200,32 +207,36 @@ def test_a_sweep_result_holds_numbers(monkeypatch):
         return real(cfg, trace=trace)
 
     monkeypatch.setattr(experiments, "run_once", capped)
-    a = replace(SMALL_GRID, protocols=("rcs", "mca", "mrdmca"))
-    b = replace(SMALL_GRID, protocols=("mdmca",), terminations=("baseline", "run_to_full"),
-                fix_topology=True)
+    a = SMALL_GRID._replace(protocols=("rcs", "mca", "mrdmca"))
+    b = SMALL_GRID._replace(protocols=("mdmca",), terminations=("baseline", "run_to_full"),
+                            fix_topology=True)
     result = run_grid(a, b)
     assert GridResult._fields == ("grids", "runs", "cells", "incomplete")
     assert result.grids == (a, b)
-    assert [entry[:2] for entry in result.runs] == sorted(
-        ((g, cell), run) for g, grid in enumerate((a, b))
-        for cell in range(len(list(grid.cells()))) for run in range(grid.runs))
-    assert all(isinstance(s, RunSummary) or s is None for *_, s in result.runs)
-    assert result.incomplete == [s for *_, s in result.runs].count(None)
-    by_cell = {}
-    for key, _, cfg, summary in result.runs:
-        by_cell.setdefault(key, []).append((cfg, summary))
-    assert 0 < result.incomplete < len(result.runs) and len(result.cells) < len(by_cell)
+    assert [key for key, *_ in result.runs] == [
+        (g, cell) for g, grid in enumerate((a, b)) for cell in range(len(list(grid.cells())))]
+    assert [len(summaries) for *_, summaries in result.runs] == [4] * len(result.runs)
+    assert [cfg for _, cfg, _ in result.runs] == [cfg for grid in (a, b) for _, cfg in grid.cells()]
+    every = [s for *_, summaries in result.runs for s in summaries]
+    assert all(isinstance(s, RunSummary) or s is None for s in every)
+    assert result.incomplete == every.count(None)
+    by_cell = {key: (cfg, summaries) for key, cfg, summaries in result.runs}
+    assert 0 < result.incomplete < len(every) and len(result.cells) < len(by_cell)
     assert result.cells == [
-        (g, entries[0][0], aggregate([s for _, s in entries if s is not None]))
-        for (g, _), entries in by_cell.items() if any(s is not None for _, s in entries)]
+        (g, cfg, aggregate([s for s in summaries if s is not None]))
+        for (g, _), (cfg, summaries) in by_cell.items() if any(s is not None for s in summaries)]
     for csv, columns, rows in (
-            (runs_csv, RUN_COLUMNS, [run_row(result.grids[g].name, run_index, cfg, s)
-                                     for (g, _), run_index, cfg, s in result.runs]),
+            (runs_csv, RUN_COLUMNS, [run_row(*run) for run in _runs(result)]),
             (aggregate_csv, AGGREGATE_COLUMNS, [aggregate_row(result.grids[g].name, cfg, agg)
                                                 for g, cfg, agg in result.cells])):
         lines = _text(csv, result).splitlines()
         at = lines.index(",".join(columns))
         assert lines[at + 1:] == [",".join(row) for row in rows]
+    # each row's seeds are the ones its run ran with
+    ran = []
+    monkeypatch.setattr(experiments, "run_once", lambda cfg: ran.append(cfg) or real(cfg))
+    run_grid(a, b)
+    assert len(ran) == len(every) and set(ran) == {cfg for _, _, cfg, _ in _runs(result)}
 
 
 def test_paper_baseline_runs_both_sub_grids_in_one_pool(tmp_path, pool_sizes):
@@ -247,12 +258,43 @@ def test_worker_count_does_not_change_results_under_fixed_topology():
     assert _text(aggregate_csv, parallel) == _text(aggregate_csv, serial)
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def _loaded_by_importing_the_cli(*modules):
+    """Which of modules a fresh interpreter holds after `import rendezsim.cli`."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, rendezsim.cli; "
-         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+         f"print(sorted(m for m in {modules!r} if m in sys.modules))"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    assert _loaded_by_importing_the_cli("concurrent.futures", "multiprocessing") == "[]\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses imports inspect, ast and dis: about 1 MB in every process
+    assert _loaded_by_importing_the_cli("dataclasses", "inspect") == "[]\n"
+
+
+def test_sweep_workers_never_derive_seeds(monkeypatch):
+    parent, real = os.getpid(), experiments.derive_seed
+
+    def in_the_parent_only(*args):
+        if os.getpid() != parent:
+            raise AssertionError("a sweep worker derived a seed")
+        return real(*args)
+
+    fixed = ScenarioGrid(name="fixed", protocols=("rcs", "mrdmca"),
+                         terminations=("baseline", "controlled"), n_values=(3, 5),
+                         c_values=(10,), m_values=(5,), pr_levels=("off",),
+                         runs=5, master_seed=2, fix_topology=True)
+    for grid in (SMALL_GRID, fixed):
+        serial = run_grid(grid)
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments, "derive_seed", in_the_parent_only)
+            parallel = run_grid(grid, workers=2)
+        for csv in (runs_csv, aggregate_csv):
+            assert _text(csv, parallel) == _text(csv, serial)
 
 
 @pytest.mark.parametrize("termination", ["baseline", "controlled", "run_to_full"])
@@ -268,11 +310,13 @@ def test_a_worker_result_does_not_grow_with_the_network():
     for n, c in ((3, 10), (20, 20)):
         cfgs = [RunConfig(protocol="mdmca", termination="controlled", n_nodes=n, pool_size=c,
                           similarity=2, pr=PrParams.off(), seed=seed) for seed in range(16)]
-        results = [experiments._execute((0, 0, cfg)) for cfg in cfgs]
+        unit = ((0, (0,), 0), (cfgs[0],), [(cfg.seed, None, None) for cfg in cfgs])
+        key, results = experiments._execute(unit)
+        assert key == (0, (0,), 0)
         assert None not in results and not hasattr(results[0], "final_dnl")
         assert results[0] == engine.run_once(cfgs[0]).summary()
-        # the pool sends results in lists of 16 (its chunksize), which name
-        # the RunSummary class once; pickled alone, each summary names it
+        # a worker sends back a unit's results, up to 16, in one list, which
+        # names the RunSummary class once; pickled alone, each summary names it
         sizes.append(len(pickle.dumps(results)) / len(results))
     assert abs(sizes[0] - sizes[1]) <= 4
     assert max(sizes) <= 64                      # a few dozen bytes per run
@@ -286,7 +330,7 @@ def test_fixed_topology_shares_deployments_across_cells():
     result = run_grid(grid)
     # each run's config carries the deployment/channel seeds; run k of the rcs
     # cell must reuse run k's seeds from the mrdmca cell
-    cfgs = [cfg for _, _, cfg, _ in result.runs]
+    cfgs = [cfg for _, _, cfg, _ in _runs(result)]
     for k in range(3):
         for field in ("topo_seed", "chan_seed"):
             assert getattr(cfgs[k], field) == getattr(cfgs[3 + k], field)
@@ -313,14 +357,18 @@ def test_fixed_topology_deploys_once_per_network_size_and_run(monkeypatch):
     # the same runs as running the items in (cell, run) order, each freshly
     # deployed
     unordered = []
-    for cell_index, run_index, cfg in sorted(_run_configs(grid), key=lambda it: it[:2]):
-        engine._deployment.cache_clear()
-        unordered.append(((0, cell_index), run_index, cfg, engine.run_once(cfg).summary()))
+    for cell_index, cfg in grid.cells():
+        summaries = []
+        for run_index in range(grid.runs):
+            engine._deployment.cache_clear()
+            seeds = experiments._run_seeds(grid, cell_index, cfg, run_index)
+            summaries.append(engine.run_once(experiments._seeded(cfg, seeds)).summary())
+        unordered.append(((0, cell_index), cfg, summaries))
     assert result.runs == unordered
     assert len(calls) == 6 + 30
 
     calls.clear()
-    run_grid(replace(grid, fix_topology=False))
+    run_grid(grid._replace(fix_topology=False))
     assert len(calls) == 30                     # every run deploys its own
 
 
@@ -404,7 +452,7 @@ def test_parse_grid_config_errors():
 
 def test_config_keys_name_every_grid_field_once():
     named = [field for field, *_ in experiments._CONFIG_KEYS.values()]
-    assert sorted(named) == sorted(f.name for f in fields(ScenarioGrid))
+    assert sorted(named) == sorted(ScenarioGrid._fields)
     # the seven required keys alone take every other value from ScenarioGrid
     assert parse_grid_config(GRID_TEXT) == ScenarioGrid(
         name="sweep", protocols=("mrdmca",), terminations=("controlled",),
@@ -423,7 +471,7 @@ def test_a_cell_without_a_completed_run_gets_no_aggregate_row(monkeypatch):
         return real(cfg, trace=trace)
 
     monkeypatch.setattr(experiments, "run_once", capped)
-    result = run_grid(replace(SMALL_GRID, protocols=("rcs", "mca", "mrdmca"), runs=3))
+    result = run_grid(SMALL_GRID._replace(protocols=("rcs", "mca", "mrdmca"), runs=3))
     assert [cfg.protocol for _, cfg, _ in result.cells] == ["rcs", "mrdmca"]
     aggregate_rows, run_rows = _rows(_text(aggregate_csv, result)), _rows(_text(runs_csv, result))
     assert [row.split(",")[1] for row in aggregate_rows] == ["rcs", "mrdmca"]
