@@ -103,23 +103,19 @@ RunSummary.__doc__ = """What rows and aggregates read of a run: its CTM and the 
 of t_term, t_n1 and t_full (None if a node lacks its mark); the sweep knows its cell."""
 
 
-def resolve_half_slot(meets, occupancy, half_slot_index):
+def resolve_half_slot(meets):
     """The meeting pairs that handshake in one half-slot, by (channel, i, j).
 
     meets holds a (channel, i, j) tuple, i < j, for every in-range pair on a
-    channel both can use. The pairs that clear handshake_pairs defer when
-    their channel is PR-busy at any point in the half-slot: a handshake needs
-    the whole exchange, so a primary arriving mid-way disrupts it too. PR is
-    asked about the channel of each cleared pair and no other, or nothing
-    with PR off; as every channel has its own ON/OFF stream, which channels
-    are asked, and how often, changes no answer.
+    channel both can use, and with PR on only on channels idle for the whole
+    half-slot (run_once drops the rest before it looks for meets). A node
+    sits on one channel per half-slot, so collisions never cross channels:
+    dropping a busy channel's meets changes no other channel's pairs, and
+    the pairs that clear handshake_pairs handshake.
     """
     if not meets:
         return meets
-    pairs = handshake_pairs(meets)
-    if occupancy.params.enabled:
-        pairs = [pair for pair in pairs if not occupancy.busy_during(pair[0], half_slot_index)]
-    return sorted(pairs)
+    return sorted(handshake_pairs(meets))
 
 
 def handshake_pairs(meets):
@@ -174,11 +170,13 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     handshakes, then a `terminate` line for each node whose stop mark (t_n1,
     or t_full under run_to_full) falls in it.
 
-    Each half-slot takes every node's channel, then compares the two ends
-    of every in-range pair at once. The pairs that meet on a channel both
-    can use, as (channel, i, j) tuples, are the half-slot's one list of
-    contacts: resolve_half_slot keeps those that neither collide nor defer
-    to PR, and they handshake in (channel, i, j) order. The run ends after both
+    Each half-slot takes every node's channel, then lists its contacts: the
+    in-range pairs that meet on a channel both can use, as (channel, i, j)
+    tuples. With PR off it compares the two ends of every in-range pair at
+    once; with PR on it looks only at the nodes on a channel idle for the
+    whole half-slot, since a handshake on any other defers to PR.
+    resolve_half_slot keeps the contacts that do not collide, and they
+    handshake in (channel, i, j) order. The run ends after both
     halves of the slot in which the last node gets its stop mark, or raises
     IncompleteRun when max_slots slots pass first.
 
@@ -198,7 +196,6 @@ def run_once(cfg, topo=None, chans=None, trace=None):
         chans = assign_channels(cfg.n_nodes, cfg.pool_size, cfg.similarity, chan_seed)
     n = cfg.n_nodes
     nodes = range(n)
-    occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
     clock_rng = random.Random(clock_seed)
     pool = list(range(1, cfg.pool_size + 1))
     selects = [make_clock(cfg.protocol, chans[i],
@@ -206,9 +203,35 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                for i in nodes]
     usable = [frozenset(chans[i]) for i in nodes]
     neighbour_sets = topo.dnl_star
-    edges = [(i, j) for i in nodes for j in sorted(neighbour_sets[i]) if i < j]
-    firsts = _picker([i for i, _ in edges])
-    seconds = _picker([j for _, j in edges])
+    # a node can only transact on a channel in its usable set; blind
+    # searchers that tuned elsewhere listen without effect
+    if cfg.pr.enabled:
+        idle_channels = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed).idle_channels
+
+        def find_meets(selections, half_slot_index):
+            meets = []
+            for ch in idle_channels(half_slot_index):
+                count = selections.count(ch)
+                if count == 2:  # the usual crowd: find both nodes in C
+                    i = selections.index(ch)
+                    j = selections.index(ch, i + 1)
+                    if j in neighbour_sets[i] and ch in usable[i] and ch in usable[j]:
+                        meets.append((ch, i, j))
+                elif count > 2:
+                    on = [i for i in compress(nodes, map(ch.__eq__, selections))
+                          if ch in usable[i]]
+                    meets += [(ch, i, j) for k, i in enumerate(on) for j in on[k + 1:]
+                              if j in neighbour_sets[i]]
+            return meets
+    else:
+        edges = [(i, j) for i in nodes for j in sorted(neighbour_sets[i]) if i < j]
+        firsts = _picker([i for i, _ in edges])
+        seconds = _picker([j for _, j in edges])
+
+        def find_meets(selections, half_slot_index):
+            met = compress(edges, map(eq, firsts(selections), seconds(selections)))
+            return [(ch, i, j) for i, j in met
+                    if (ch := selections[i]) in usable[i] and ch in usable[j]]
     states = [proto.NodeState(i) for i in nodes]
 
     t_heard, t_full, ptm_values = [None] * n, [None] * n, [None] * n  # ptm set at stop marks
@@ -227,12 +250,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
             if trace is not None:
                 for i, c in enumerate(selections):
                     trace.write(f"{slot} {half} {i} {c} select -\n")
-            # a node can only transact on a channel in its usable set; blind
-            # searchers that tuned elsewhere listen without effect
-            met = compress(edges, map(eq, firsts(selections), seconds(selections)))
-            meets = [(ch, i, j) for i, j in met
-                     if (ch := selections[i]) in usable[i] and ch in usable[j]]
-            pairs = resolve_half_slot(meets, occupancy, half_index)
+            pairs = resolve_half_slot(find_meets(selections, half_index))
             half_index += 1
             if not pairs:
                 continue

@@ -212,7 +212,9 @@ def run_grid(*grids, workers=1, trace=None):
     by run index, and runs_csv derives the seeds again as it writes. The
     worker count comes from the grids' cells, which are built (and so
     checked) first; the pool then starts before any unit exists, so a forked
-    worker holds no copy of them and receives each through the pool.
+    worker holds no copy of them and receives each through the pool. The
+    pool's map submits every unit when it is called, so this process holds
+    them all until they have run; serially each is built as it runs.
 
     trace, when given, is a writable text stream that receives the event
     trace of replication 0 of the first cell (see engine.run_once). That
@@ -235,7 +237,7 @@ def run_grid(*grids, workers=1, trace=None):
             # Under fork, the first submit forks every worker. A no-op submitted
             # before the units below exist keeps them out of their memory.
             pool.submit(int)
-        # built as the pool takes them, and each dropped once it has run
+        # serially each unit is built as it runs; pool.map submits them all at once
         units = (unit for g, grid in enumerate(grids) for unit in _units(g, grid))
         # with a trace, the first unit, whose first run is replication 0 of
         # the first cell, runs here first

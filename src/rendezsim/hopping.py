@@ -16,7 +16,6 @@ randrange's draw for draw.
 
 import math
 from itertools import repeat
-from operator import mod
 
 
 def _is_prime(n):
@@ -96,9 +95,11 @@ class DualModularClock(_Clock):
         self.mi = sorted(channels)
         self.mp, self.np_ = split_primality(self.mi)
         size = len(self.mi)
-        # channel at each index, per half: the subset indexed mod its length
-        self._tables = [[sub[j % len(sub)] for j in range(size)] if sub else self.mi
-                        for sub in (self.mp, self.np_)]
+        # channel at each index, per half: the subset indexed mod its length,
+        # repeated so that index j + k·r, k <= size, needs no mod (r = 1 at
+        # size 1 makes the extra lap)
+        self._laps = [([sub[j % len(sub)] for j in range(size)] if sub else self.mi)
+                      * (size + 1) for sub in (self.mp, self.np_)]
         self._bits = rng.getrandbits
         self.j1 = _randbelow(self._bits, size)
         self.j2 = _randbelow(self._bits, size)
@@ -114,17 +115,16 @@ class DualModularClock(_Clock):
 
     def window(self):
         size = len(self.mi)
-        steps = range(1, size + 1)
-        first, second = self._tables
+        first, second = self._laps
         window = [0] * (2 * size)
         # after a window of size steps both indices are back where they
         # started, so only the redraws below move them
         j, r = self.j1, self.r1
-        window[0::2] = [first[(j + k * r) % size] for k in steps]
+        window[0::2] = first[j + r:j + size * r + 1:r]
         if self.mp and self.np_:
             # disjoint subsets: the halves can never coincide
             j, r = self.j2, self.r2
-            window[1::2] = [second[(j + k * r) % size] for k in steps]
+            window[1::2] = second[j + r:j + size * r + 1:r]
         else:
             # both halves index the full set; a coinciding second half steps
             # one index further, and the shift carries over
@@ -212,13 +212,21 @@ class ModularClock(_Clock):
         self.j = _randbelow(self._bits, self.p)
         self.r = 1 + _randbelow(self._bits, self.p - 1)
         self.per_slot = per_slot
+        # the channel at each index mod p, None where it overflows the list,
+        # repeated so that index j + k·r, k < 2p, needs no mod
+        self._laps = (self.mi + [None] * (self.p - len(self.mi))) * (2 * self.p)
 
     def window(self):
         mi, p, bits = self.mi, self.p, self._bits
         size = len(mi)
         # steps 1..2p-1 are j + k·r; overflow picks draw in step order
-        steps = map(mod, range(self.j + self.r, self.j + 2 * p * self.r, self.r), repeat(p))
-        window = [mi[j] if j < size else mi[_randbelow(bits, size)] for j in steps]
+        j, r = self.j, self.r
+        window = self._laps[j + r:j + (2 * p - 1) * r + 1:r]
+        if size < p:
+            k = -1
+            for _ in range(window.count(None)):
+                k = window.index(None, k + 1)
+                window[k] = mi[_randbelow(bits, size)]
         # step 2p redraws rate, then index, and lands on the fresh index
         self.r = 1 + _randbelow(bits, p - 1)
         self.j = _randbelow(bits, p)

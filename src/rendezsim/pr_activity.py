@@ -90,6 +90,9 @@ class ChannelOccupancy:
     sampled from the same law. State is constant within a half-slot.
     """
 
+    # half-slots idle_channels schedules at a time
+    BLOCK = 64
+
     def __init__(self, params, n_channels, rng_seed):
         self.params = params
         self.n_channels = n_channels
@@ -97,6 +100,8 @@ class ChannelOccupancy:
         self._on = [False] * n_channels
         self._next = [math.inf] * n_channels
         self._last_query = [-math.inf] * n_channels
+        self._block_start = 0
+        self._block = []  # idle_channels' answers from _block_start on
         if params.enabled:
             u = params.utilization
             for c in range(n_channels):
@@ -139,6 +144,12 @@ class ChannelOccupancy:
                 f"{t} < {self._last_query[idx]}"
             )
         self._last_query[idx] = t
+        on, nxt = self._advance(idx, t)
+        return on or nxt <= t + 0.5
+
+    def _advance(self, idx, t):
+        """Take channel idx's transitions up to and including time t; its
+        (on, next transition) after them."""
         on, nxt = self._on[idx], self._next[idx]
         if nxt <= t:
             draw = self._draws[idx]
@@ -147,4 +158,54 @@ class ChannelOccupancy:
                 on = not on
                 nxt += draw(on_rate if on else off_rate)
             self._on[idx], self._next[idx] = on, nxt
-        return on or nxt <= t + 0.5
+        return on, nxt
+
+    def idle_channels(self, half_slot_index):
+        """The channels idle for the whole half-slot, ascending.
+
+        These are the channels busy_during calls free, scheduled a BLOCK of
+        half-slots at a time by advancing each channel's own stream as
+        busy_during does, so the two draw the same sojourns. Each channel
+        counts as queried at the block's last half-slot: busy_during inside
+        a scheduled block raises, as any backwards query does. Half-slots
+        inside the current block may be asked in any order, and the list
+        returned must not be changed. With PR off every channel is idle.
+        """
+        k = half_slot_index - self._block_start
+        if not 0 <= k < len(self._block):
+            self._schedule(half_slot_index)
+            k = 0
+        return self._block[k]
+
+    def _schedule(self, first):
+        """Fill _block with idle_channels' answers for BLOCK half-slots from first.
+
+        An OFF spell [a, b) makes half-slots ceil(2a) .. ceil(2b - 1) - 1
+        idle: those h with a <= h/2 and h/2 + 1/2 < b, busy_during's test.
+        """
+        size = self.BLOCK
+        t0, t_end = first * 0.5, (first + size - 1) * 0.5
+        if not self.params.enabled:
+            self._block_start, self._block = first, [list(range(1, self.n_channels + 1))] * size
+            return
+        for c, last in enumerate(self._last_query):
+            if t0 < last:
+                raise ValueError(f"time went backwards on channel {c + 1}: {t0} < {last}")
+        block = [[] for _ in range(size)]
+        on_rate, off_rate = self.params.lambda_y, self.params.lambda_x
+        ceil = math.ceil
+        for c, draw in enumerate(self._draws):
+            label = c + 1
+            on, nxt = self._advance(c, t0)
+            spell = 0  # the current spell's first half-slot, from first
+            while True:
+                if not on:
+                    for h in range(spell, min(size, ceil(2 * nxt - 1) - first)):
+                        block[h].append(label)
+                if nxt > t_end:
+                    break
+                spell = ceil(2 * nxt) - first
+                on = not on
+                nxt += draw(on_rate if on else off_rate)
+            self._on[c], self._next[c], self._last_query[c] = on, nxt, t_end
+        self._block_start, self._block = first, block

@@ -8,10 +8,12 @@ fraction of each batch.
 
 import functools
 import math
+import multiprocessing
 import random
 import statistics
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 import pytest
@@ -26,18 +28,42 @@ from rendezsim.topology import deploy
 MASTER = 20260826
 
 
+_pool = None
+
+
+def run_or_none(cfg):
+    """run_once's record, or None for a run that hits the safety cap."""
+    try:
+        return run_once(cfg)
+    except IncompleteRun:
+        return None
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _shut_down_the_pool():
+    # at this module's end, as other modules count the live child processes
+    global _pool
+    yield
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
 @functools.cache
 def run_cell(protocol, termination, n, c, m, pr, runs, cap=60_000,
              max_incomplete_frac=0.05):
     """Replicate one scenario cell; returns (records, n_incomplete).
 
     Cached by its arguments, so a cell that several criteria (or both of
-    criterion 3's loops) ask for is simulated once per session.
+    criterion 3's loops) ask for is simulated once per session. The runs go
+    to a pool of two spawned processes, made on first use and shut down when
+    this module's tests end; every run is a pure function of its config.
     """
-    records = []
-    incomplete = 0
-    for r in range(runs):
-        cfg = RunConfig(
+    global _pool
+    if _pool is None:
+        _pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+    cfgs = [
+        RunConfig(
             protocol=protocol, termination=termination, n_nodes=n,
             pool_size=c, similarity=m, pr=PrParams.from_name(pr),
             seed=derive_seed(MASTER, protocol, termination, n, c, m, pr, r),
@@ -45,10 +71,11 @@ def run_cell(protocol, termination, n, c, m, pr, runs, cap=60_000,
             chan_seed=derive_seed(MASTER, "chan", n, c, m, r),
             max_slots=cap,
         )
-        try:
-            records.append(run_once(cfg))
-        except IncompleteRun:
-            incomplete += 1
+        for r in range(runs)
+    ]
+    results = list(_pool.map(run_or_none, cfgs, chunksize=8))
+    records = [rec for rec in results if rec is not None]
+    incomplete = len(results) - len(records)
     assert incomplete <= max_incomplete_frac * runs, (
         f"{incomplete}/{runs} replications hit the safety cap")
     return tuple(records), incomplete

@@ -1,6 +1,7 @@
 """Simulation-loop tests: meeting pairs, collisions, PR deferral, golden runs, determinism."""
 
 import io
+import random
 
 import pytest
 
@@ -16,19 +17,6 @@ from rendezsim.cli import main
 from rendezsim.pr_activity import ChannelOccupancy, PrParams
 from rendezsim.protocol import TERMINATION_MODES
 from rendezsim.topology import _build_topology, assign_channels, deploy
-
-
-class StubOccupancy:
-    """Occupancy double with a fixed busy set; records its queries."""
-
-    def __init__(self, busy=(), params=PrParams.high()):
-        self.busy = set(busy)
-        self.params = params
-        self.queries = []
-
-    def busy_during(self, channel, half_slot_index):
-        self.queries.append(channel)
-        return channel in self.busy
 
 
 def make_cfg(**overrides):
@@ -50,77 +38,89 @@ def full_mesh_channels(n, pool=10):
 # a half-slot's contacts are its meeting pairs: (channel, i, j), i < j, for
 # every in-range pair sitting on a channel both can use
 
-def test_pr_busy_channel_defers_all_attempts():
-    assert resolve_half_slot([(4, 0, 1)], StubOccupancy(busy={4}), 0) == []
+def test_pr_busy_channel_defers_all_attempts(monkeypatch):
+    # with every channel busy in every half-slot, two nodes on one shared
+    # channel meet all the time and never handshake
+    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self, h: [])
+    buf = io.StringIO()
+    with pytest.raises(IncompleteRun):
+        run_once(make_cfg(n_nodes=2, pr=PrParams.high(), max_slots=50),
+                 topo=chain_topology(n=2), chans=((4,), (4,)), trace=buf)
+    assert "handshake" not in buf.getvalue()
 
 
 def test_meeting_pairs_on_idle_channels_handshake():
-    assert resolve_half_slot([(4, 0, 1), (7, 2, 3)], StubOccupancy(), 0) == [
-        (4, 0, 1), (7, 2, 3)]
+    assert resolve_half_slot([(4, 0, 1), (7, 2, 3)]) == [(4, 0, 1), (7, 2, 3)]
 
 
-def test_mixed_busy_and_idle_channels():
-    occ = StubOccupancy(busy={7})
-    assert resolve_half_slot([(4, 0, 1), (7, 2, 3)], occ, 0) == [(4, 0, 1)]
+def test_mixed_busy_and_idle_channels(monkeypatch):
+    # only channel 4 is ever idle: the two nodes meet on all ten channels,
+    # and handshake on channel 4 alone
+    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self, h: [4])
+    buf = io.StringIO()
+    run_once(make_cfg(n_nodes=2, pr=PrParams.high(), seed=3),
+             topo=chain_topology(n=2), chans=full_mesh_channels(2), trace=buf)
+    events = [line.split() for line in buf.getvalue().splitlines()]
+    assert {int(e[3]) for e in events if e[4] == "select"} == set(range(1, 11))
+    handshakes = [int(e[3]) for e in events if e[4] == "handshake"]
+    assert handshakes and set(handshakes) == {4}
 
 
 def test_pairs_come_back_in_channel_then_node_order():
     meets = [(9, 1, 8), (3, 5, 6), (9, 0, 7), (3, 2, 4), (1, 3, 9)]
-    assert resolve_half_slot(meets, StubOccupancy(), 0) == sorted(meets)
-    assert resolve_half_slot(meets, StubOccupancy(params=PrParams.off()), 0) == sorted(meets)
+    assert resolve_half_slot(meets) == sorted(meets)
 
 
-def test_pr_is_asked_only_about_channels_of_cleared_pairs(monkeypatch):
-    # 0-1 and 1-2 collide at node 1 on channel 3, so channel 3 is not asked;
-    # the two disjoint pairs on channel 7 ask about it once each
-    occ = StubOccupancy(busy={9})
+def test_handshakes_are_the_cleared_meets_on_idle_channels():
+    # 0-1 and 1-2 collide at node 1 on channel 3; the disjoint pairs on 7 and
+    # 9 clear. resolve_half_slot asks no PR: run_once hands it only the
+    # meets on idle channels, and a collision never crosses channels
     meets = [(3, 0, 1), (3, 1, 2), (7, 3, 4), (9, 5, 6), (7, 7, 8)]
-    assert resolve_half_slot(meets, occ, 0) == [(7, 3, 4), (7, 7, 8)]
-    assert sorted(occ.queries) == [7, 7, 9]
-    # and in a run, PR hears of exactly the (half-slot, channel) pairs of the
-    # meeting pairs that no third co-channel neighbour collides with, once
-    # per pair; a channel asked twice at one instant answers the same
-    asked = []
-    real = ChannelOccupancy.busy_during
-
-    def busy_during(self, channel, half_slot_index):
-        asked.append((half_slot_index, channel, real(self, channel, half_slot_index)))
-        return asked[-1][2]
-
-    monkeypatch.setattr(ChannelOccupancy, "busy_during", busy_during)
+    assert resolve_half_slot(meets) == [(7, 3, 4), (7, 7, 8), (9, 5, 6)]
+    # in a run with PR on, the handshakes are exactly the meeting pairs that
+    # no third co-channel neighbour collides with, on a channel that a fresh
+    # occupancy of the run's PR seed calls idle for the whole half-slot
     n = 10
     topo = deploy(n, (300.0, 300.0), 100.0, 5)
     chans = assign_channels(n, 10, 2, 6)
     for protocol in ("rcs", "emca", "mrdmca"):
-        asked.clear()
+        cfg = make_cfg(protocol=protocol, n_nodes=n, pr=PrParams.high(), seed=8)
         buf = io.StringIO()
-        run_once(make_cfg(protocol=protocol, n_nodes=n, pr=PrParams.high(), seed=8),
-                 topo=topo, chans=chans, trace=buf)
-        selected = {}
+        run_once(cfg, topo=topo, chans=chans, trace=buf)
+        selected, handshakes = {}, set()
         for line in buf.getvalue().splitlines():
-            slot, half, node, channel, event, _ = line.split(maxsplit=5)
+            slot, half, node, channel, event, detail = line.split(maxsplit=5)
+            h = 2 * int(slot) + int(half)
             if event == "select":
-                selected[2 * int(slot) + int(half), int(node)] = int(channel)
+                selected[h, int(node)] = int(channel)
+            elif event == "handshake":
+                handshakes.add((h, int(channel), int(node), int(detail.removeprefix("peer="))))
 
         def co_channel(h, i):
             c = selected[h, i]
             return {j for j in topo.dnl_star[i] if c in chans[i]
                     and selected[h, j] == c and c in chans[j]}
 
-        cleared = sorted((h, selected[h, i]) for (h, i) in selected
-                         for j in co_channel(h, i)
-                         if i < j and co_channel(h, i) == {j} and co_channel(h, j) == {i})
-        assert sorted((h, c) for h, c, _ in asked) == cleared
-        answers = {}
-        for h, c, busy in asked:
-            assert answers.setdefault((h, c), busy) == busy
-        assert cleared and len(answers) < len(asked)
+        cleared = {(h, selected[h, i], i, j) for (h, i) in selected for j in co_channel(h, i)
+                   if i < j and co_channel(h, i) == {j} and co_channel(h, j) == {i}}
+        master = random.Random(cfg.seed)  # as run_once derives its seeds
+        _topo_seed, _chan_seed, occ_seed = (master.getrandbits(63) for _ in range(3))
+        occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
+        idle = {(h, c) for h in range(max(h for h, _ in selected) + 1)
+                for c in occupancy.idle_channels(h)}
+        assert handshakes == {m for m in cleared if m[:2] in idle}
+        assert handshakes and handshakes < cleared  # PR defers some cleared meets
 
 
-def test_disabled_pr_is_never_asked():
-    occ = StubOccupancy(busy={4}, params=PrParams.off())
-    assert resolve_half_slot([(4, 0, 1), (7, 2, 3)], occ, 0) == [(4, 0, 1), (7, 2, 3)]
-    assert occ.queries == []
+def test_disabled_pr_is_never_asked(monkeypatch):
+    def never(*args):
+        raise AssertionError("PR asked with PR off")
+
+    monkeypatch.setattr(ChannelOccupancy, "idle_channels", never)
+    monkeypatch.setattr(ChannelOccupancy, "busy_during", never)
+    record = run_once(make_cfg(n_nodes=2), topo=chain_topology(n=2),
+                      chans=full_mesh_channels(2))
+    assert None not in record.t_full
 
 
 def test_pair_group_handshakes_when_in_range():

@@ -224,3 +224,40 @@ def test_busy_during_keeps_the_is_busy_guards():
     off = ChannelOccupancy(PrParams.off(), 3, rng_seed=1)
     with pytest.raises(ValueError, match="outside pool"):
         off.busy_during(4, 0)
+
+
+@pytest.mark.parametrize("level, pool", [("high", 6), ("0.5:0.5", 4), ("200:300", 1), ("0.5:300", 2)])
+def test_idle_channels_match_busy_during(level, pool):
+    # the schedule draws each channel's own sojourns block by block, the lazy
+    # sampler one query at a time; 200:300 and 0.5:300 have spells far
+    # shorter than a half-slot, OFF and ON ones respectively
+    params = PrParams.from_name(level)
+    scheduled = ChannelOccupancy(params, pool, rng_seed=11)
+    lazy = ChannelOccupancy(params, pool, rng_seed=11)
+    idle_seen = 0
+    for h in range(20_000):
+        idle = scheduled.idle_channels(h)
+        assert idle == [c for c in range(1, pool + 1) if not lazy.busy_during(c, h)], h
+        idle_seen += len(idle)
+    assert 0 < idle_seen or level == "200:300"
+
+
+def test_idle_channels_mark_their_block_as_queried():
+    occ = ChannelOccupancy(PrParams.high(), 3, rng_seed=1)
+    lazy = ChannelOccupancy(PrParams.high(), 3, rng_seed=1)
+    last = 5 + ChannelOccupancy.BLOCK - 1  # of the block scheduled from half-slot 5
+    expected = {h: [c for c in (1, 2, 3) if not lazy.busy_during(c, h)]
+                for h in range(5, last + 2)}
+    for h in (5, 9, 6, last):  # any order inside the block
+        assert occ.idle_channels(h) == expected[h]
+    with pytest.raises(ValueError, match="backwards"):
+        occ.busy_during(2, last - 1)
+    with pytest.raises(ValueError, match="backwards"):
+        occ.idle_channels(4)
+    occ.busy_during(2, last)  # the block's last half-slot is not behind it
+    assert occ.idle_channels(last + 1) == expected[last + 1]
+
+
+def test_idle_channels_with_pr_off_are_every_channel():
+    occ = ChannelOccupancy(PrParams.off(), 4, rng_seed=0)
+    assert all(occ.idle_channels(h) == [1, 2, 3, 4] for h in range(300))

@@ -6,9 +6,9 @@ channels, groups them by channel in node order, asks PR about every attempted
 channel (singletons included), and resolves each idle group with its own
 group-based collision rule, `reference_pairs`: a pair handshakes when each
 end has exactly one in-range neighbour in the group. `run_once` instead keeps
-one list of the in-range pairs that meet on a channel both can use, drops
-every pair with an end in another meeting pair, and asks PR only about the
-channels of the pairs left, so PR hears of fewer channels. The reference also
+one list of the in-range pairs that meet on a channel both can use, with PR
+on only on the channels `idle_channels` calls idle for the whole half-slot,
+and drops every pair with an end in another meeting pair. The reference also
 stops each node on the paper's own N-1 count, over the in-range set the node
 can confirm (its true neighbours under validation, none without), where
 run_once picks one of two policy-free marks. The two must agree on every
