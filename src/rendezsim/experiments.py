@@ -211,10 +211,9 @@ def run_grid(*grids, workers=1, trace=None):
     RunSummary values (None if capped); of each cell only those are kept,
     by run index, and runs_csv derives the seeds again as it writes. The
     worker count comes from the grids' cells, which are built (and so
-    checked) first; the pool then starts before any unit exists, so a forked
-    worker holds no copy of them and receives each through the pool. The
-    pool's map submits every unit when it is called, so this process holds
-    them all until they have run; serially each is built as it runs.
+    checked) first. The pool's map submits every unit when it is called, so
+    this process holds them all until they have run; serially each is built
+    as it runs.
 
     trace, when given, is a writable text stream that receives the event
     trace of replication 0 of the first cell (see engine.run_once). That
@@ -234,9 +233,6 @@ def run_grid(*grids, workers=1, trace=None):
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            # Under fork, the first submit forks every worker. A no-op submitted
-            # before the units below exist keeps them out of their memory.
-            pool.submit(int)
         # serially each unit is built as it runs; pool.map submits them all at once
         units = (unit for g, grid in enumerate(grids) for unit in _units(g, grid))
         # with a trace, the first unit, whose first run is replication 0 of

@@ -8,8 +8,9 @@ from collections import namedtuple
 # giving a stationary busy fraction of 0.85.
 HIGH_MEAN_ON = 8.5
 HIGH_MEAN_OFF = 1.5
-# Largest accepted rate, per slot. The sampler steps through every sojourn, so
-# a half-slot query grows with the rate: 0.4 ms at 1e3, 272 ms at 1e6 (2 vCPU).
+# Largest accepted rate, per slot. The engine's schedule walks every sojourn of
+# every channel, so a slot of mrdmca at N=10, C=10 costs about 5 ms at
+# 1000:1000, against about 10 us at high (2 vCPU).
 MAX_RATE = 1000.0
 
 
@@ -79,7 +80,7 @@ class PrParams(namedtuple("PrParams", "lambda_x lambda_y enabled", defaults=(1.0
 
 
 class ChannelOccupancy:
-    """Lazy per-channel ON/OFF sampler, queried at half-slot boundaries.
+    """Per-channel ON/OFF process with PR on, queried at half-slot boundaries.
 
     Channels are labelled 1..n_channels. Each channel draws from its own
     stream, seeded from rng_seed and its label, so its answers depend only on
@@ -87,13 +88,16 @@ class ChannelOccupancy:
     other channels are asked. Initial states are drawn from the stationary
     distribution; sojourns are exponential, and memorylessness makes the
     stationary residual time another exponential, so the first transition is
-    sampled from the same law. State is constant within a half-slot.
+    sampled from the same law. State is constant within a half-slot. With PR
+    off every channel is always idle, so PrParams.off() raises ValueError.
     """
 
     # half-slots idle_channels schedules at a time
     BLOCK = 64
 
     def __init__(self, params, n_channels, rng_seed):
+        if not params.enabled:
+            raise ValueError("ChannelOccupancy needs PR on; with PR off every channel is idle")
         self.params = params
         self.n_channels = n_channels
         self._draws = []  # per channel, the bound expovariate of its own stream
@@ -102,13 +106,12 @@ class ChannelOccupancy:
         self._last_query = [-math.inf] * n_channels
         self._block_start = 0
         self._block = []  # idle_channels' answers from _block_start on
-        if params.enabled:
-            u = params.utilization
-            for c in range(n_channels):
-                rng = random.Random(f"{rng_seed}|{c + 1}")
-                self._draws.append(rng.expovariate)
-                on = self._on[c] = rng.random() < u
-                self._next[c] = rng.expovariate(params.lambda_y if on else params.lambda_x)
+        u = params.utilization
+        for c in range(n_channels):
+            rng = random.Random(f"{rng_seed}|{c + 1}")
+            self._draws.append(rng.expovariate)
+            on = self._on[c] = rng.random() < u
+            self._next[c] = rng.expovariate(params.lambda_y if on else params.lambda_x)
 
     def is_busy(self, channel, half_slot_index):
         """Process state at the start of the given half-slot (time in slots).
@@ -129,13 +132,10 @@ class ChannelOccupancy:
         forward in time; a backwards query signals an engine ordering bug and
         is rejected, as is a channel outside the pool. The answer is a pure
         function of the channel's own stream and the half-slot, so asking
-        about one channel never changes another's answers. With PR off
-        nothing is drawn.
+        about one channel never changes another's answers.
         """
         if not 1 <= channel <= self.n_channels:
             raise ValueError(f"channel {channel} outside pool 1..{self.n_channels}")
-        if not self.params.enabled:
-            return False
         t = half_slot_index * 0.5
         idx = channel - 1
         if t < self._last_query[idx]:
@@ -169,7 +169,7 @@ class ChannelOccupancy:
         counts as queried at the block's last half-slot: busy_during inside
         a scheduled block raises, as any backwards query does. Half-slots
         inside the current block may be asked in any order, and the list
-        returned must not be changed. With PR off every channel is idle.
+        returned must not be changed.
         """
         k = half_slot_index - self._block_start
         if not 0 <= k < len(self._block):
@@ -185,9 +185,6 @@ class ChannelOccupancy:
         """
         size = self.BLOCK
         t0, t_end = first * 0.5, (first + size - 1) * 0.5
-        if not self.params.enabled:
-            self._block_start, self._block = first, [list(range(1, self.n_channels + 1))] * size
-            return
         for c, last in enumerate(self._last_query):
             if t0 < last:
                 raise ValueError(f"time went backwards on channel {c + 1}: {t0} < {last}")

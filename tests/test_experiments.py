@@ -62,28 +62,11 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):  # run_grid's early no-op, which forks the workers
-            fn(*args)
-
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
-
-
-@pytest.fixture
-def children_at_work_list(monkeypatch):
-    """How many child processes were alive at each _units call."""
-    seen = []
-    real = experiments._units
-
-    def recording(*args):
-        seen.append(len(multiprocessing.active_children()))
-        return real(*args)
-
-    monkeypatch.setattr(experiments, "_units", recording)
-    return seen
 
 
 def _text(write_csv, result):
@@ -137,10 +120,9 @@ def test_worker_pool_never_outnumbers_the_runs(pool_sizes):
     assert pool_sizes == [2]
 
 
-def test_workers_start_before_the_work_list_exists(children_at_work_list):
+def test_a_two_grid_sweep_on_two_workers_leaves_no_worker_behind():
     b = SMALL_GRID._replace(protocols=("rcs",))
     result = run_grid(SMALL_GRID, b, workers=2)
-    assert children_at_work_list == [2, 2]     # forked before either grid's units
     assert multiprocessing.active_children() == []
     assert _text(runs_csv, result) == _text(runs_csv, run_grid(SMALL_GRID, b))
 
@@ -154,12 +136,10 @@ def _raise_boom(*args, **kwargs):
 
 
 @pytest.mark.parametrize("failing", ["traced run capped", "work list", "worker run"])
-def test_a_sweep_that_raises_leaves_no_worker_behind(failing, children_at_work_list,
-                                                     monkeypatch):
+def test_a_sweep_that_raises_leaves_no_worker_behind(failing, monkeypatch):
     if failing == "traced run capped":  # a real cap: no N=3 run finishes in one slot
         with pytest.raises(IncompleteRun):
             run_grid(SMALL_GRID._replace(max_slots=1), workers=2, trace=io.StringIO())
-        assert children_at_work_list == [2]
     else:  # the forked workers inherit a patched run_once
         monkeypatch.setattr(experiments, "_units" if failing == "work list"
                             else "run_once", _raise_boom)
@@ -503,12 +483,18 @@ def test_cli_run_writes_aggregate_and_run_csvs(tmp_path):
 
 
 def test_cli_output_is_byte_identical_across_invocations_and_workers(tmp_path):
-    paths = [tmp_path / f"out{i}.csv" for i in range(3)]
-    main(RUN_ARGS + ["--out", str(paths[0])])
-    main(RUN_ARGS + ["--out", str(paths[1])])
-    main(RUN_ARGS + ["--workers", "3", "--out", str(paths[2])])
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    # the last invocation is traced on two workers, which start after the
+    # traced unit has run in the sweep process
+    trace = tmp_path / "trace.txt"
+    extra = [[], [], ["--workers", "3"], ["--workers", "2", "--trace", str(trace)]]
+    outs, runs = [], []
+    for i, args in enumerate(extra):
+        outs.append(tmp_path / f"out{i}.csv")
+        runs.append(tmp_path / f"runs{i}.csv")
+        main(RUN_ARGS + args + ["--out", str(outs[-1]), "--runs-out", str(runs[-1])])
+    assert len({p.read_bytes() for p in outs}) == 1
+    assert len({p.read_bytes() for p in runs}) == 1
+    assert " select " in trace.read_text()
 
 
 def test_cli_audit_accepts_its_own_runs(tmp_path, capsys):

@@ -8,11 +8,11 @@ import pytest
 from rendezsim.pr_activity import HIGH_MEAN_OFF, HIGH_MEAN_ON, MAX_RATE, ChannelOccupancy, PrParams
 
 
-def test_disabled_process_is_never_busy():
-    occ = ChannelOccupancy(PrParams.off(), 10, rng_seed=0)
-    for half in range(200):
-        for ch in range(1, 11):
-            assert not occ.is_busy(ch, half)
+def test_an_occupancy_needs_pr_on():
+    # with PR off every channel is always idle and the engine builds no
+    # occupancy, so there is no PR-off process to query
+    with pytest.raises(ValueError, match="PR on"):
+        ChannelOccupancy(PrParams.off(), 10, rng_seed=0)
 
 
 def test_equal_rates_give_half_utilization():
@@ -151,11 +151,6 @@ def test_busy_during_fraction_matches_residual_free_time_law():
     assert abs(free_whole / n - expected) < 0.005
 
 
-def test_busy_during_off_process_is_never_busy():
-    occ = ChannelOccupancy(PrParams.off(), 3, rng_seed=0)
-    assert not any(occ.busy_during(2, h) for h in range(100))
-
-
 def reference_busy_during(occ, channel, half_slot_index):
     """The former busy_during: an is_busy advance, then a peek."""
     idx = channel - 1
@@ -221,9 +216,6 @@ def test_busy_during_keeps_the_is_busy_guards():
     occ.busy_during(2, 10)
     with pytest.raises(ValueError, match="backwards"):
         occ.busy_during(2, 9)
-    off = ChannelOccupancy(PrParams.off(), 3, rng_seed=1)
-    with pytest.raises(ValueError, match="outside pool"):
-        off.busy_during(4, 0)
 
 
 @pytest.mark.parametrize("level, pool", [("high", 6), ("0.5:0.5", 4), ("200:300", 1), ("0.5:300", 2)])
@@ -256,8 +248,3 @@ def test_idle_channels_mark_their_block_as_queried():
         occ.idle_channels(4)
     occ.busy_during(2, last)  # the block's last half-slot is not behind it
     assert occ.idle_channels(last + 1) == expected[last + 1]
-
-
-def test_idle_channels_with_pr_off_are_every_channel():
-    occ = ChannelOccupancy(PrParams.off(), 4, rng_seed=0)
-    assert all(occ.idle_channels(h) == [1, 2, 3, 4] for h in range(300))
