@@ -7,7 +7,7 @@ from contextlib import ExitStack, nullcontext
 
 from .engine import IncompleteRun, run_once
 from .experiments import (
-    ScenarioGrid, run_grid, paper_grid, parse_grid_config,
+    PAPER_GRIDS, ScenarioGrid, run_grid, paper_grid, parse_grid_config,
     aggregate_csv, runs_csv, run_row, read_run_row, RUN_COLUMNS,
 )
 from .hopping import PROTOCOLS
@@ -44,7 +44,7 @@ def build_parser():
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_paper = sub.add_parser("paper", help="run a built-in evaluation grid")
-    p_paper.add_argument("grid", choices=("baseline", "controlled", "scale"))
+    p_paper.add_argument("grid", choices=PAPER_GRIDS)
     p_paper.add_argument("--runs", type=int, default=None,
                          help="replications per cell (default 1000)")
     p_paper.add_argument("--seed", type=int, default=0)

@@ -170,15 +170,15 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     handshakes, then a `terminate` line for each node whose stop mark (t_n1,
     or t_full under run_to_full) falls in it.
 
-    Each half-slot takes every node's channel, then lists its contacts: the
-    in-range pairs that meet on a channel both can use, as (channel, i, j)
-    tuples. With PR off it compares the two ends of every in-range pair at
-    once; with PR on it looks only at the nodes on a channel idle for the
-    whole half-slot, since a handshake on any other defers to PR.
-    resolve_half_slot keeps the contacts that do not collide, and they
-    handshake in (channel, i, j) order. The run ends after both
-    halves of the slot in which the last node gets its stop mark, or raises
-    IncompleteRun when max_slots slots pass first.
+    A run is one forward pass. Each half-slot takes the next channel of every
+    node's clock, then lists its contacts: the in-range pairs that meet on a
+    channel both can use, as (channel, i, j) tuples. With PR off it compares
+    the two ends of every in-range pair at once; with PR on it looks only at
+    the nodes on the channels of the next idle_channels() set, since a
+    handshake on any other defers to PR. resolve_half_slot keeps the
+    contacts that do not collide, and they handshake in (channel, i, j)
+    order. The run ends after both halves of the slot in which the last node
+    gets its stop mark, or raises IncompleteRun when max_slots slots pass.
 
     A stop mark only freezes a node's PTM: the node keeps hopping,
     handshaking and relaying gossip, which a neighbour may need, until every
@@ -206,11 +206,11 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     # a node can only transact on a channel in its usable set; blind
     # searchers that tuned elsewhere listen without effect
     if cfg.pr.enabled:
-        idle_channels = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed).idle_channels
+        idle = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed).idle_channels()
 
-        def find_meets(selections, half_slot_index):
+        def find_meets(selections):
             meets = []
-            for ch in idle_channels(half_slot_index):
+            for ch in next(idle):
                 count = selections.count(ch)
                 if count == 2:  # the usual crowd: find both nodes in C
                     i = selections.index(ch)
@@ -228,7 +228,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
         firsts = _picker([i for i, _ in edges])
         seconds = _picker([j for _, j in edges])
 
-        def find_meets(selections, half_slot_index):
+        def find_meets(selections):
             met = compress(edges, map(eq, firsts(selections), seconds(selections)))
             return [(ch, i, j) for i, j in met
                     if (ch := selections[i]) in usable[i] and ch in usable[j]]
@@ -238,20 +238,13 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     t_n1 = t_full if cfg.validate_coords else t_heard  # where the paper's N-1 count holds
     stops = t_full if cfg.termination == proto.RUN_TO_FULL else t_n1
 
-    slot = half_index = 0
-    while None in stops:
-        if slot >= cfg.max_slots:
-            raise IncompleteRun(
-                f"safety cap of {cfg.max_slots} slots reached with "
-                f"{stops.count(None)} node(s) unfinished (seed {cfg.seed})"
-            )
+    for slot in range(cfg.max_slots):
         for half in (0, 1):
             selections = [select() for select in selects]
             if trace is not None:
                 for i, c in enumerate(selections):
                     trace.write(f"{slot} {half} {i} {c} select -\n")
-            pairs = resolve_half_slot(find_meets(selections, half_index))
-            half_index += 1
+            pairs = resolve_half_slot(find_meets(selections))
             if not pairs:
                 continue
             touched = []
@@ -260,7 +253,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                 touched += (i, j)
                 if trace is not None:
                     trace.write(f"{slot} {half} {i} {ch} handshake peer={j}\n")
-            tnow = half_index * 0.5
+            tnow = slot + 0.5 * (half + 1)
             for i in sorted(touched):
                 st = states[i]
                 if not proto.check_termination(st, n):
@@ -273,7 +266,13 @@ def run_once(cfg, topo=None, chans=None, trace=None):
                     ptm_values[i] = ptm(st.dnl, neighbour_sets[i])
                     if trace is not None:
                         trace.write(f"{slot} {half} {i} - terminate dnl={sorted(st.dnl)}\n")
-        slot += 1
+        if None not in stops:
+            break
+    else:
+        raise IncompleteRun(
+            f"safety cap of {cfg.max_slots} slots reached with "
+            f"{stops.count(None)} node(s) unfinished (seed {cfg.seed})"
+        )
 
-    return RunRecord(cfg=cfg, slots_used=slot, t_n1=t_n1, t_full=t_full, ptm=ptm_values,
+    return RunRecord(cfg=cfg, slots_used=slot + 1, t_n1=t_n1, t_full=t_full, ptm=ptm_values,
                      ctm=ctm(ptm_values), final_dnl=[frozenset(st.dnl) for st in states])

@@ -287,11 +287,14 @@ def runs_csv(result, out):
 
 
 BASELINE_PROTOCOLS = ("rcs", "mca", "emca", "mdmca")
+PAPER_GRIDS = ("baseline", "controlled", "scale")
 
 
 def paper_grid(name, runs=None, master_seed=0):
-    """Built-in grids mirroring the two evaluation scenarios and the
-    scalability study; runs defaults to 1000 replications per cell."""
+    """Built-in grids mirroring the two evaluation scenarios and the scalability
+    study, by PAPER_GRIDS name; runs defaults to 1000 replications per cell."""
+    if name not in PAPER_GRIDS:
+        raise ValueError(f"unknown paper grid {name!r}; use one of {', '.join(PAPER_GRIDS)}")
     grid = ScenarioGrid(name=name, protocols=PROTOCOLS, terminations=("controlled",),
                         n_values=(3, 10), c_values=(10,), m_values=(2, 5),
                         pr_levels=("off", "high"), runs=1000 if runs is None else runs,
@@ -301,11 +304,9 @@ def paper_grid(name, runs=None, master_seed=0):
         # measured as two sub-grids of one run_grid sweep
         return (grid._replace(protocols=BASELINE_PROTOCOLS, terminations=("baseline",)),
                 grid._replace(protocols=("mrdmca",)))
-    if name == "controlled":
-        return (grid,)
     if name == "scale":
         return (grid._replace(n_values=(20,), c_values=(20,)),)
-    raise ValueError(f"unknown paper grid {name!r}; use baseline, controlled or scale")
+    return (grid,)
 
 
 def _flag(text):

@@ -3,14 +3,16 @@
 import math
 import random
 from collections import namedtuple
+from itertools import count
 
 # High PR activity: mean ON sojourn 8.5 slots, mean OFF sojourn 1.5 slots,
 # giving a stationary busy fraction of 0.85.
 HIGH_MEAN_ON = 8.5
 HIGH_MEAN_OFF = 1.5
-# Largest accepted rate, per slot. The engine's schedule walks every sojourn of
-# every channel, so a slot of mrdmca at N=10, C=10 costs about 5 ms at
-# 1000:1000, against about 10 us at high (2 vCPU).
+# Largest accepted rate, per slot. At 1000:1000 no run can finish: a channel is
+# idle for a whole half-slot with probability (1 - u)·exp(-lambda_x / 2) =
+# 0.5·e^-500, and each slot costs about 5 ms (mrdmca, N=10, C=10, 2 vCPU), as
+# the engine's schedule walks every sojourn of every channel.
 MAX_RATE = 1000.0
 
 
@@ -104,8 +106,6 @@ class ChannelOccupancy:
         self._on = [False] * n_channels
         self._next = [math.inf] * n_channels
         self._last_query = [-math.inf] * n_channels
-        self._block_start = 0
-        self._block = []  # idle_channels' answers from _block_start on
         u = params.utilization
         for c in range(n_channels):
             rng = random.Random(f"{rng_seed}|{c + 1}")
@@ -160,25 +160,22 @@ class ChannelOccupancy:
             self._on[idx], self._next[idx] = on, nxt
         return on, nxt
 
-    def idle_channels(self, half_slot_index):
-        """The channels idle for the whole half-slot, ascending.
+    def idle_channels(self):
+        """The channels idle for the whole half-slot, ascending, for half-slots
+        0, 1, 2, ... in turn.
 
         These are the channels busy_during calls free, scheduled a BLOCK of
         half-slots at a time by advancing each channel's own stream as
         busy_during does, so the two draw the same sojourns. Each channel
-        counts as queried at the block's last half-slot: busy_during inside
-        a scheduled block raises, as any backwards query does. Half-slots
-        inside the current block may be asked in any order, and the list
-        returned must not be changed.
+        counts as queried at a scheduled block's last half-slot: busy_during
+        inside it raises, as any backwards query does, and a busy_during
+        ahead of the stream makes the next block raise.
         """
-        k = half_slot_index - self._block_start
-        if not 0 <= k < len(self._block):
-            self._schedule(half_slot_index)
-            k = 0
-        return self._block[k]
+        for first in count(0, self.BLOCK):
+            yield from self._schedule(first)
 
     def _schedule(self, first):
-        """Fill _block with idle_channels' answers for BLOCK half-slots from first.
+        """idle_channels' answers for the BLOCK half-slots from first.
 
         An OFF spell [a, b) makes half-slots ceil(2a) .. ceil(2b - 1) - 1
         idle: those h with a <= h/2 and h/2 + 1/2 < b, busy_during's test.
@@ -205,4 +202,4 @@ class ChannelOccupancy:
                 on = not on
                 nxt += draw(on_rate if on else off_rate)
             self._on[c], self._next[c], self._last_query[c] = on, nxt, t_end
-        self._block_start, self._block = first, block
+        return block

@@ -2,6 +2,7 @@
 
 import io
 import random
+from itertools import repeat
 
 import pytest
 
@@ -15,7 +16,7 @@ from rendezsim.engine import (
 )
 from rendezsim.cli import main
 from rendezsim.pr_activity import ChannelOccupancy, PrParams
-from rendezsim.protocol import TERMINATION_MODES
+from rendezsim.protocol import RUN_TO_FULL, TERMINATION_MODES
 from rendezsim.topology import _build_topology, assign_channels, deploy
 
 
@@ -41,7 +42,7 @@ def full_mesh_channels(n, pool=10):
 def test_pr_busy_channel_defers_all_attempts(monkeypatch):
     # with every channel busy in every half-slot, two nodes on one shared
     # channel meet all the time and never handshake
-    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self, h: [])
+    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self: repeat([]))
     buf = io.StringIO()
     with pytest.raises(IncompleteRun):
         run_once(make_cfg(n_nodes=2, pr=PrParams.high(), max_slots=50),
@@ -56,7 +57,7 @@ def test_meeting_pairs_on_idle_channels_handshake():
 def test_mixed_busy_and_idle_channels(monkeypatch):
     # only channel 4 is ever idle: the two nodes meet on all ten channels,
     # and handshake on channel 4 alone
-    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self, h: [4])
+    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self: repeat([4]))
     buf = io.StringIO()
     run_once(make_cfg(n_nodes=2, pr=PrParams.high(), seed=3),
              topo=chain_topology(n=2), chans=full_mesh_channels(2), trace=buf)
@@ -106,8 +107,8 @@ def test_handshakes_are_the_cleared_meets_on_idle_channels():
         master = random.Random(cfg.seed)  # as run_once derives its seeds
         _topo_seed, _chan_seed, occ_seed = (master.getrandbits(63) for _ in range(3))
         occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
-        idle = {(h, c) for h in range(max(h for h, _ in selected) + 1)
-                for c in occupancy.idle_channels(h)}
+        half_slots = range(max(h for h, _ in selected) + 1)
+        idle = {(h, c) for h, cs in zip(half_slots, occupancy.idle_channels()) for c in cs}
         assert handshakes == {m for m in cleared if m[:2] in idle}
         assert handshakes and handshakes < cleared  # PR defers some cleared meets
 
@@ -316,6 +317,23 @@ def test_safety_cap_raises_incomplete_run():
     cfg = make_cfg(n_nodes=6, seed=0, max_slots=1)
     with pytest.raises(IncompleteRun):
         run_once(cfg)
+
+
+@pytest.mark.parametrize("pr", ["off", "high"])
+@pytest.mark.parametrize("termination", TERMINATION_MODES)
+def test_a_run_needs_exactly_the_slots_it_used(pr, termination):
+    # a run whose last stop mark falls in slot s (counting from 1) gives the
+    # same record under a cap of s slots, and cannot finish under s - 1
+    cfg = make_cfg(protocol="emca", termination=termination, n_nodes=5,
+                   pr=PrParams.from_name(pr), seed=4)
+    record = run_once(cfg)
+    s = record.slots_used
+    stops = record.t_full if termination == RUN_TO_FULL else record.t_n1
+    assert s - 1 < max(stops) <= s and s > 1
+    capped = cfg._replace(max_slots=s)
+    assert run_once(capped) == record._replace(cfg=capped)
+    with pytest.raises(IncompleteRun):
+        run_once(cfg._replace(max_slots=s - 1))
 
 
 def test_trace_records_selections_and_handshakes():

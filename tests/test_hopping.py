@@ -1,13 +1,16 @@
 """Channel-selection clock tests, including exhaustive modular-arithmetic oracles."""
 
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from rendezsim.hopping import (
+    PROTOCOLS,
     DualModularClock,
     ModularClock,
     RandomClock,
@@ -337,12 +340,55 @@ def test_rcs_clock_uses_the_pool_not_the_node_set():
     assert seen == set(range(1, 11))
 
 
-def test_select_passes_over_an_empty_window():
+def test_select_passes_over_an_empty_window(monkeypatch):
     # an rcs window could, however rarely, reject every one of its draws
-    clock = RandomClock([1, 2, 3], random.Random(0))
     windows = iter([[], [], [2, 3]])
-    clock.window = lambda: next(windows)
+    monkeypatch.setattr(RandomClock, "window", lambda self: next(windows))
+    clock = RandomClock([1, 2, 3], random.Random(0))
     assert [clock.select(), clock.select()] == [2, 3]
+
+
+def test_building_a_clock_draws_only_its_initial_state():
+    # the first window is drawn at the first select: building a clock takes
+    # only its initial index and rate draws, so state set before the first
+    # select shapes the first window (acceptance criterion 7c relies on it)
+    chans = (2, 3, 4, 6, 9)
+    size, p = len(chans), smallest_prime_geq(len(chans))
+    initial = {
+        "rcs": lambda rng: (),
+        "mca": lambda rng: (rng.randrange(p), rng.randrange(1, p)),
+        "emca": lambda rng: (rng.randrange(p), rng.randrange(1, p)),
+        "mrdmca": lambda rng: (rng.randrange(size), rng.randrange(size),
+                               rng.randrange(1, size), rng.randrange(1, size)),
+    }
+    for protocol, draws in initial.items():
+        rng, reference = random.Random(5), random.Random(5)
+        make_clock(protocol, chans, rng, pool=list(range(1, 11)))
+        draws(reference)
+        assert rng.getstate() == reference.getstate(), protocol
+    for protocol, first in (("mca", [3, 3, 4, 4]), ("emca", [3, 4, 6, 9])):
+        clock = make_clock(protocol, chans, random.Random(5))
+        clock.j, clock.r = 0, 1
+        assert half_slots(clock, 4) == first
+    clock = make_clock("mrdmca", chans, random.Random(5))
+    set_dual_state(clock, j1=0, r1=1, j2=1, r2=2)
+    expected, _, _ = dual_clock_oracle(chans, 0, 1, 1, 2, size)
+    assert pairs(half_slots(clock, 2 * size)) == expected
+
+
+def test_a_dropped_clock_is_freed_without_the_cyclic_collector():
+    # a clock's stream reaches the clock only weakly: a cycle would keep every
+    # run's clocks alive until the collector ran, and sweeps' peak RSS rose
+    gc.disable()
+    try:
+        for protocol in PROTOCOLS:
+            clock = make_clock(protocol, (2, 3, 5), random.Random(1), pool=list(range(1, 11)))
+            half_slots(clock, 50)
+            alive = weakref.ref(clock)
+            del clock
+            assert alive() is None, protocol
+    finally:
+        gc.enable()
 
 
 def test_seeded_clock_sequences_are_reproducible():

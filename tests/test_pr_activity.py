@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -227,8 +228,7 @@ def test_idle_channels_match_busy_during(level, pool):
     scheduled = ChannelOccupancy(params, pool, rng_seed=11)
     lazy = ChannelOccupancy(params, pool, rng_seed=11)
     idle_seen = 0
-    for h in range(20_000):
-        idle = scheduled.idle_channels(h)
+    for h, idle in zip(range(20_000), scheduled.idle_channels()):
         assert idle == [c for c in range(1, pool + 1) if not lazy.busy_during(c, h)], h
         idle_seen += len(idle)
     assert 0 < idle_seen or level == "200:300"
@@ -237,14 +237,15 @@ def test_idle_channels_match_busy_during(level, pool):
 def test_idle_channels_mark_their_block_as_queried():
     occ = ChannelOccupancy(PrParams.high(), 3, rng_seed=1)
     lazy = ChannelOccupancy(PrParams.high(), 3, rng_seed=1)
-    last = 5 + ChannelOccupancy.BLOCK - 1  # of the block scheduled from half-slot 5
-    expected = {h: [c for c in (1, 2, 3) if not lazy.busy_during(c, h)]
-                for h in range(5, last + 2)}
-    for h in (5, 9, 6, last):  # any order inside the block
-        assert occ.idle_channels(h) == expected[h]
+    last = ChannelOccupancy.BLOCK - 1  # of the first block
+    expected = [[c for c in (1, 2, 3) if not lazy.busy_during(c, h)] for h in range(last + 2)]
+    stream = occ.idle_channels()
+    assert next(stream) == expected[0]  # schedules half-slots 0 .. last
     with pytest.raises(ValueError, match="backwards"):
         occ.busy_during(2, last - 1)
-    with pytest.raises(ValueError, match="backwards"):
-        occ.idle_channels(4)
     occ.busy_during(2, last)  # the block's last half-slot is not behind it
-    assert occ.idle_channels(last + 1) == expected[last + 1]
+    assert list(islice(stream, last + 1)) == expected[1:]
+    # a query ahead of the stream makes the next block go backwards
+    occ.busy_during(2, 3 * last)
+    with pytest.raises(ValueError, match="backwards"):
+        list(islice(stream, last + 1))
