@@ -75,6 +75,7 @@ def _run_and_emit(args, grids, trace=None):
         open(path, "a").close()
         if created:
             os.remove(path)
+    _refuse_unfinishable(grids)
     result = run_grid(*grids, workers=args.workers, trace=trace)
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
         aggregate_csv(result, fh)
@@ -82,6 +83,20 @@ def _run_and_emit(args, grids, trace=None):
         with open(args.runs_out, "w", newline="") as fh:
             runs_csv(result, fh)
     return 0
+
+
+def _refuse_unfinishable(grids):
+    """Raise ValueError for the first cell whose PR leaves it no expected idle
+    (channel, half-slot) before its cap, C·2·max_slots·PrParams.idle_prob < 1:
+    a handshake needs one, so no run of that cell could finish."""
+    for grid in grids:
+        for _, cfg in grid.cells():
+            expected = cfg.pool_size * 2 * cfg.max_slots * cfg.pr.idle_prob
+            if expected < 1:
+                raise ValueError(
+                    f"cell {cfg.protocol} {cfg.termination} N={cfg.n_nodes} C={cfg.pool_size} "
+                    f"m={cfg.similarity} pr={cfg.pr.name}: {expected:.3g} idle (channel, "
+                    f"half-slot) options expected in {cfg.max_slots} slots, so no run can finish")
 
 
 class _TraceFile:

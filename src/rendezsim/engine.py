@@ -119,7 +119,8 @@ def resolve_half_slot(meets):
 
 
 def handshake_pairs(meets):
-    """The meeting pairs whose two ends appear in no other meeting pair.
+    """The meeting pairs whose two ends appear in no other meeting pair; meets
+    itself when no end repeats.
 
     A pair completes its three-way handshake only when neither endpoint hears
     another co-channel node. A node sits on one channel per half-slot, so a
@@ -131,8 +132,16 @@ def handshake_pairs(meets):
         return meets
     seen, shared = set(), set()
     for _, i, j in meets:
-        shared |= seen & {i, j}
-        seen |= {i, j}
+        if i in seen:
+            shared.add(i)
+        else:
+            seen.add(i)
+        if j in seen:
+            shared.add(j)
+        else:
+            seen.add(j)
+    if not shared:
+        return meets
     return [pair for pair in meets if pair[1] not in shared and pair[2] not in shared]
 
 

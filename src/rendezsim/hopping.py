@@ -5,18 +5,21 @@ contract is select(): each call returns the node's channel in the next
 half-slot, half 0 and half 1 of slot 0, then of slot 1, and so on. Clocks
 compute their channels a window at a time (window()), and select() hands the
 windows out one half-slot after another, drawing each when it is reached, so
-state set before the first select shapes the first window. A modular window
-spans the stretch between two of the clock's redraws, so within it the
-channel indices are arithmetic, j + k·r mod size, and the draws that follow
-it are taken in the order a clock stepped one half-slot at a time takes
-them; an rcs window is one batch of draws. Each clock draws from its own
-generator, so a node's channel sequence is a pure function of its seed.
-Every draw is randrange's own getrandbits rejection, inlined (_randbelow),
-so the streams match randrange's draw for draw.
+state set before the first select shapes the first window. On a clock,
+select is partial(next, stream, clock): it runs in C between windows and
+keeps its clock alive (see _Clock). A modular window spans the stretch
+between two of the clock's redraws, so within it the channel indices are
+arithmetic, j + k·r mod size, and the draws that follow it are taken in the
+order a clock stepped one half-slot at a time takes them; an rcs window is
+one batch of draws. Each clock draws from its own generator, so a node's
+channel sequence is a pure function of its seed. Every draw is randrange's
+own getrandbits rejection, inlined (_randbelow), so the streams match
+randrange's draw for draw.
 """
 
 import math
 import weakref
+from functools import partial
 from itertools import chain, repeat
 
 
@@ -53,23 +56,43 @@ def smallest_prime_geq(n):
     return p
 
 
+class _Select:
+    """_Clock.select's descriptor: see _Clock."""
+
+    def __get__(self, clock, owner=None):
+        if clock is None:
+            return _select
+        # the clock, next's default, is never returned, as the stream never
+        # ends; holding it keeps alive the clock its stream reaches only
+        # weakly, and no cycle forms, as the clock does not hold the partial
+        return partial(next, clock._channels, clock)
+
+
+def _select(clock):
+    return next(clock._channels)
+
+
 class _Clock:
     """select() over _channels, which each subclass's constructor ends by setting
-    to _stream(): its window()s end to end, each drawn only when select reaches it."""
+    to _stream(): its window()s end to end, each drawn only when select reaches it.
+
+    clock.select() is the node's channel in the next half-slot. clock.select
+    keeps its clock alive, so make_clock(...).select may be all a caller
+    holds; each attribute read makes a new callable over the same stream,
+    and a call runs no Python frame unless it draws a window. On the class,
+    type(clock).select(clock) is a plain function doing the same, so
+    wrapping a class's select (perfbench's tracer does) sees every call the
+    engine makes. Any window that draws nothing is skipped; a clock driven
+    through select should not also be asked for windows directly.
+    """
+
+    select = _Select()
 
     def _stream(self):
         # a bound self.window here would make each clock a reference cycle,
         # freed only by the cyclic collector: sweeps' peak RSS rose 6-9%
         clock = weakref.ref(self)
         return chain.from_iterable(iter(lambda: clock().window(), None))
-
-    def select(self):
-        """The node's channel in the next half-slot.
-
-        Skips any window that draws nothing; a clock driven through select
-        should not also be asked for windows directly.
-        """
-        return next(self._channels)
 
 
 class DualModularClock(_Clock):

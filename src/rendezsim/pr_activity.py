@@ -3,16 +3,18 @@
 import math
 import random
 from collections import namedtuple
-from itertools import count
+from itertools import chain, count
 
 # High PR activity: mean ON sojourn 8.5 slots, mean OFF sojourn 1.5 slots,
 # giving a stationary busy fraction of 0.85.
 HIGH_MEAN_ON = 8.5
 HIGH_MEAN_OFF = 1.5
-# Largest accepted rate, per slot. At 1000:1000 no run can finish: a channel is
-# idle for a whole half-slot with probability (1 - u)·exp(-lambda_x / 2) =
-# 0.5·e^-500, and each slot costs about 5 ms (mrdmca, N=10, C=10, 2 vCPU), as
-# the engine's schedule walks every sojourn of every channel.
+# Largest accepted rate, per slot. The engine's schedule walks every sojourn of
+# every channel, so a slot at 1000:1000 costs about 5 ms (mrdmca, N=10, C=10,
+# 2 vCPU). Fast rates also leave a channel idle for a whole half-slot only
+# rarely (PrParams.idle_prob, 0.5·e^-500 at 1000:1000), and the CLI refuses a
+# cell that expects fewer than one idle (channel, half-slot) before its cap:
+# no run of it could finish.
 MAX_RATE = 1000.0
 
 
@@ -46,6 +48,17 @@ class PrParams(namedtuple("PrParams", "lambda_x lambda_y enabled", defaults=(1.0
         if not self.enabled:
             return 0.0
         return self.lambda_x / (self.lambda_x + self.lambda_y)
+
+    @property
+    def idle_prob(self):
+        """Probability that a channel is idle for a whole half-slot, the only
+        way it can host a handshake: P(OFF now) times P(residual OFF > 1/2),
+        (1 - u)·exp(-lambda_x / 2) by stationarity and the memoryless OFF
+        sojourn. 1.0 with PR off.
+        """
+        if not self.enabled:
+            return 1.0
+        return (1.0 - self.utilization) * math.exp(-self.lambda_x / 2)
 
     @classmethod
     def off(cls):
@@ -102,16 +115,15 @@ class ChannelOccupancy:
             raise ValueError("ChannelOccupancy needs PR on; with PR off every channel is idle")
         self.params = params
         self.n_channels = n_channels
-        self._draws = []  # per channel, the bound expovariate of its own stream
-        self._on = [False] * n_channels
-        self._next = [math.inf] * n_channels
+        # per channel, the bound random of its own stream; a sojourn at rate
+        # lambda is -log(1.0 - random()) / lambda, Random.expovariate's own
+        # formula, written out where it is drawn
+        self._randoms = [random.Random(f"{rng_seed}|{c + 1}").random
+                         for c in range(n_channels)]
+        self._on = [r() < params.utilization for r in self._randoms]
+        self._next = [-math.log(1.0 - r()) / (params.lambda_y if on else params.lambda_x)
+                      for r, on in zip(self._randoms, self._on)]
         self._last_query = [-math.inf] * n_channels
-        u = params.utilization
-        for c in range(n_channels):
-            rng = random.Random(f"{rng_seed}|{c + 1}")
-            self._draws.append(rng.expovariate)
-            on = self._on[c] = rng.random() < u
-            self._next[c] = rng.expovariate(params.lambda_y if on else params.lambda_x)
 
     def is_busy(self, channel, half_slot_index):
         """Process state at the start of the given half-slot (time in slots).
@@ -152,11 +164,11 @@ class ChannelOccupancy:
         (on, next transition) after them."""
         on, nxt = self._on[idx], self._next[idx]
         if nxt <= t:
-            draw = self._draws[idx]
+            rand, log = self._randoms[idx], math.log
             on_rate, off_rate = self.params.lambda_y, self.params.lambda_x
             while nxt <= t:
                 on = not on
-                nxt += draw(on_rate if on else off_rate)
+                nxt += -log(1.0 - rand()) / (on_rate if on else off_rate)
             self._on[idx], self._next[idx] = on, nxt
         return on, nxt
 
@@ -171,8 +183,7 @@ class ChannelOccupancy:
         inside it raises, as any backwards query does, and a busy_during
         ahead of the stream makes the next block raise.
         """
-        for first in count(0, self.BLOCK):
-            yield from self._schedule(first)
+        return chain.from_iterable(map(self._schedule, count(0, self.BLOCK)))
 
     def _schedule(self, first):
         """idle_channels' answers for the BLOCK half-slots from first.
@@ -187,8 +198,8 @@ class ChannelOccupancy:
                 raise ValueError(f"time went backwards on channel {c + 1}: {t0} < {last}")
         block = [[] for _ in range(size)]
         on_rate, off_rate = self.params.lambda_y, self.params.lambda_x
-        ceil = math.ceil
-        for c, draw in enumerate(self._draws):
+        ceil, log = math.ceil, math.log
+        for c, rand in enumerate(self._randoms):
             label = c + 1
             on, nxt = self._advance(c, t0)
             spell = 0  # the current spell's first half-slot, from first
@@ -200,6 +211,6 @@ class ChannelOccupancy:
                     break
                 spell = ceil(2 * nxt) - first
                 on = not on
-                nxt += draw(on_rate if on else off_rate)
+                nxt += -log(1.0 - rand()) / (on_rate if on else off_rate)
             self._on[c], self._next[c], self._last_query[c] = on, nxt, t_end
         return block

@@ -2,10 +2,12 @@
 
 import io
 import random
-from itertools import repeat
+from collections import Counter
+from itertools import combinations, repeat
 
 import pytest
 
+from rendezsim import engine
 from rendezsim.engine import (
     IncompleteRun,
     RunConfig,
@@ -15,6 +17,7 @@ from rendezsim.engine import (
     run_once,
 )
 from rendezsim.cli import main
+from rendezsim.hopping import PROTOCOLS, DualModularClock, ModularClock, RandomClock
 from rendezsim.pr_activity import ChannelOccupancy, PrParams
 from rendezsim.protocol import RUN_TO_FULL, TERMINATION_MODES
 from rendezsim.topology import _build_topology, assign_channels, deploy
@@ -334,6 +337,68 @@ def test_a_run_needs_exactly_the_slots_it_used(pr, termination):
     assert run_once(capped) == record._replace(cfg=capped)
     with pytest.raises(IncompleteRun):
         run_once(cfg._replace(max_slots=s - 1))
+
+
+def _count_loop_calls(monkeypatch):
+    """Counters on every clock class's select and on resolve_half_slot, wrapped as
+    perfbench's tracer wraps them: a Python function set on each class and module."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (RandomClock, ModularClock, DualModularClock):
+        monkeypatch.setattr(cls, "select", counting("select", cls.select))
+    monkeypatch.setattr(engine, "resolve_half_slot",
+                        counting("resolve", engine.resolve_half_slot))
+    return counts
+
+
+@pytest.mark.parametrize("pr", ["off", "high"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_each_half_slot_makes_n_selects_and_one_resolve(monkeypatch, protocol, pr):
+    # perfbench's traced gate requires these counts: select calls equal to
+    # N x half-slots, and resolve_half_slot calls equal to 2 x sim_slots
+    counts = _count_loop_calls(monkeypatch)
+    cfg = make_cfg(protocol=protocol, n_nodes=6, pool_size=8, similarity=3,
+                   pr=PrParams.from_name(pr), seed=5)
+    half_slots = 2 * run_once(cfg).slots_used
+    assert counts == {"select": 6 * half_slots, "resolve": half_slots}
+
+
+def test_a_capped_run_counts_every_half_slot_of_its_cap(monkeypatch):
+    counts = _count_loop_calls(monkeypatch)
+    with pytest.raises(IncompleteRun):
+        run_once(make_cfg(n_nodes=6, seed=0, max_slots=3, pr=PrParams.high()))
+    assert counts == {"select": 6 * 2 * 3, "resolve": 2 * 3}
+
+
+def test_handshake_pairs_match_the_brute_force_definition():
+    # a pair clears iff neither of its ends is in another meeting pair, on
+    # random half-slots with crowds of three or more on a channel and chains
+    # of pairs whose outer ends are out of range
+    rng = random.Random(25)
+    crowds = chains = 0
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        channel = [rng.randint(1, 4) for _ in range(n)]
+        meets = [(channel[i], i, j) for i, j in combinations(range(n), 2)
+                 if channel[i] == channel[j] and rng.random() < 0.7]
+        meets.sort()
+        cleared = [p for p in meets
+                   if not any(q != p and {p[1], p[2]} & {q[1], q[2]} for q in meets)]
+        got = handshake_pairs(meets)
+        assert got == cleared, meets
+        if cleared == meets:
+            assert got is meets
+        degree = Counter(end for _, i, j in meets for end in (i, j))
+        crowds += max(degree.values(), default=0) >= 2 and max(Counter(channel).values()) >= 3
+        chains += any((ch, i, k) not in meets for (ch, i, j), (_, j2, k) in combinations(meets, 2)
+                      if j == j2)
+    assert crowds > 100 and chains > 100
 
 
 def test_trace_records_selections_and_handshakes():

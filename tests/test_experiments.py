@@ -668,6 +668,20 @@ def test_cli_rejects_non_finite_pr_rates_in_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_a_pr_level_at_which_no_run_can_finish(tmp_path, capsys):
+    # C·2·max_slots·(1 - u)·exp(-lambda_x / 2) idle (channel, half-slot)
+    # options are expected before the cap: 2.2e-38 at 200:300 and 3.6e-212 at
+    # 1000:1000 for C=10 over 50 000 slots, where every run would burn the cap
+    out = tmp_path / "agg.csv"
+    for level in ("200:300", "1000:1000"):
+        assert main(_with(RUN_ARGS, "--pr", level) + ["--out", str(out)]) == 2
+        err = _one_error_line(capsys)
+        assert err.startswith(f"rendezsim: cell mrdmca controlled N=3 C=10 m=5 pr={level}: ")
+        assert err.endswith(" no run can finish\n")
+    assert not out.exists()
+    assert main(_with(RUN_ARGS, "--pr", "0.5:300") + ["--out", str(out)]) == 0
+
+
 def test_cli_rejects_malformed_pr_rates_and_grid_lines_in_one_line(tmp_path, capsys):
     out = tmp_path / "agg.csv"
     for level in ("1:2:3", ":", "a:b"):

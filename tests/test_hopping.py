@@ -387,6 +387,15 @@ def test_a_dropped_clock_is_freed_without_the_cyclic_collector():
             alive = weakref.ref(clock)
             del clock
             assert alive() is None, protocol
+            # a select keeps its clock: held alone, it keeps drawing windows,
+            # and the clock goes with it
+            reference = make_clock(protocol, (2, 3, 5), random.Random(1), pool=list(range(1, 11)))
+            clock = make_clock(protocol, (2, 3, 5), random.Random(1), pool=list(range(1, 11)))
+            select, alive = clock.select, weakref.ref(clock)
+            del clock
+            assert [select() for _ in range(200)] == half_slots(reference, 200), protocol
+            del select
+            assert alive() is None, protocol
     finally:
         gc.enable()
 

@@ -150,6 +150,25 @@ def test_busy_during_fraction_matches_residual_free_time_law():
     free_whole = sum(not occ.busy_during(1, h) for h in range(n))
     expected = (1 - params.utilization) * math.exp(-params.lambda_x * 0.5)
     assert abs(free_whole / n - expected) < 0.005
+    assert params.idle_prob == expected and PrParams.off().idle_prob == 1.0
+
+
+@pytest.mark.parametrize("level", ["high", "0.5:0.5", "0.5:300"])
+def test_transition_times_are_cpythons_expovariate_draws(level):
+    # ChannelOccupancy writes Random.expovariate's formula out where it draws;
+    # an interpreter whose expovariate draws otherwise fails here
+    params = PrParams.from_name(level)
+    seed, pool = 31, 3
+    occ = ChannelOccupancy(params, pool, rng_seed=seed)
+    for c in range(1, pool + 1):
+        rng = random.Random(f"{seed}|{c}")
+        on = rng.random() < params.utilization
+        t = rng.expovariate(params.lambda_y if on else params.lambda_x)
+        for _ in range(400):
+            assert (occ._on[c - 1], occ._next[c - 1]) == (on, t)
+            occ._advance(c - 1, t)  # takes exactly the transition at t
+            on = not on
+            t += rng.expovariate(params.lambda_y if on else params.lambda_x)
 
 
 def reference_busy_during(occ, channel, half_slot_index):
@@ -161,7 +180,7 @@ def reference_busy_during(occ, channel, half_slot_index):
     while occ._next[idx] <= t:
         occ._on[idx] = not occ._on[idx]
         rate = occ.params.lambda_y if occ._on[idx] else occ.params.lambda_x
-        occ._next[idx] += occ._draws[idx](rate)
+        occ._next[idx] += occ._randoms[idx].__self__.expovariate(rate)
     if occ._on[idx]:
         return True
     return occ._next[idx] <= (half_slot_index + 1) * 0.5
@@ -181,8 +200,8 @@ def test_fused_busy_during_matches_is_busy_then_peek():
             h += picks.choice((0, 0, 1, 1, 2, 5))
             ch = picks.randint(1, pool)
             assert fused.busy_during(ch, h) == reference_busy_during(reference, ch, h)
-        assert ([draw.__self__.getstate() for draw in fused._draws]
-                == [draw.__self__.getstate() for draw in reference._draws])
+        assert ([rand.__self__.getstate() for rand in fused._randoms]
+                == [rand.__self__.getstate() for rand in reference._randoms])
 
 
 def test_a_channel_answers_the_same_whatever_else_is_asked():
