@@ -38,6 +38,12 @@ class RunConfig(namedtuple(
 
     topo_seed and chan_seed default to None: derive them from seed. The
     fields are checked on construction; _replace skips the checks.
+
+    Passing one value as seed, topo_seed and chan_seed makes run_once's
+    master generator and assign_channels' generator (and deploy's) one
+    Mersenne Twister stream, so the channel sets and the run's other seeds
+    are not independent draws. Sweeps derive distinct seeds through sha256
+    (experiments.derive_seed).
     """
 
     __slots__ = ()
@@ -179,12 +185,16 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     handshakes, then a `terminate` line for each node whose stop mark (t_n1,
     or t_full under run_to_full) falls in it.
 
-    A run is one forward pass. Each half-slot takes the next channel of every
-    node's clock, then lists its contacts: the in-range pairs that meet on a
-    channel both can use, as (channel, i, j) tuples. With PR off it compares
-    the two ends of every in-range pair at once; with PR on it looks only at
-    the nodes on the channels of the next idle_channels() set, since a
-    handshake on any other defers to PR. resolve_half_slot keeps the
+    A run is one forward pass. Each half-slot takes the next row of a zip
+    over every node's select, so each clock is asked once, from C, when the
+    row is taken; the row is released before the next is pulled, which lets
+    zip refill one tuple in place. It then lists the half-slot's contacts:
+    the in-range pairs that meet on a channel both can use, as (channel, i,
+    j) tuples. With PR off it compares the two ends of every in-range pair
+    at once; with PR on it looks only at the nodes on the channels of the
+    next idle_channels() set, since a handshake on any other defers to PR;
+    those sets come a block at a time from a walk over each channel's OFF
+    spells (ChannelOccupancy._schedule). resolve_half_slot keeps the
     contacts that do not collide, and they handshake in (channel, i, j)
     order. The run ends after both halves of the slot in which the last node
     gets its stop mark, or raises IncompleteRun when max_slots slots pass.
@@ -247,13 +257,17 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     t_n1 = t_full if cfg.validate_coords else t_heard  # where the paper's N-1 count holds
     stops = t_full if cfg.termination == proto.RUN_TO_FULL else t_n1
 
+    # one row of channels per half-slot, each node's select called from C when
+    # the row is taken; a row released before the next is refilled in place
+    rows = zip(*[iter(select, None) for select in selects])
     for slot in range(cfg.max_slots):
         for half in (0, 1):
-            selections = [select() for select in selects]
+            selections = next(rows)
             if trace is not None:
                 for i, c in enumerate(selections):
                     trace.write(f"{slot} {half} {i} {c} select -\n")
             pairs = resolve_half_slot(find_meets(selections))
+            del selections
             if not pairs:
                 continue
             touched = []

@@ -7,22 +7,28 @@ compute their channels a window at a time (window()), and select() hands the
 windows out one half-slot after another, drawing each when it is reached, so
 state set before the first select shapes the first window. On a clock,
 select is partial(next, stream, clock): it runs in C between windows and
-keeps its clock alive (see _Clock). A modular window spans the stretch
-between two of the clock's redraws, so within it the channel indices are
-arithmetic, j + k·r mod size, and the draws that follow it are taken in the
-order a clock stepped one half-slot at a time takes them; an rcs window is
-one batch of draws. Each clock draws from its own generator, so a node's
+keeps its clock alive (see _Clock); the engine takes each half-slot's
+channels as one row of a zip over iter(select, None), so the calls come
+from C as well. A modular window spans the stretch between two of the
+clock's redraws, so within it the channel indices are arithmetic,
+j + k·r mod size, and the draws that follow it are taken in the order a
+clock stepped one half-slot at a time takes them; an rcs window is one
+batch of RandomClock.DRAWS (256) draws, and where the batch is cut does not
+change the channels. Each clock draws from its own generator, so a node's
 channel sequence is a pure function of its seed. Every draw is randrange's
 own getrandbits rejection, inlined (_randbelow), so the streams match
-randrange's draw for draw.
+randrange's draw for draw. A label's prime test is computed once per
+process (_is_prime is cached), while split_primality hands each clock
+lists of its own.
 """
 
 import math
 import weakref
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, repeat
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n):
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
@@ -43,9 +49,9 @@ def split_primality(channels):
     """
     if not channels:
         raise ValueError("channel set must be non-empty")
-    ordered = sorted(channels)
-    primes = [c for c in ordered if _is_prime(c)]
-    non_primes = [c for c in ordered if not _is_prime(c)]
+    primes, non_primes = [], []
+    for c in sorted(channels):
+        (primes if _is_prime(c) else non_primes).append(c)
     return primes, non_primes
 
 
@@ -179,10 +185,11 @@ class RandomClock(_Clock):
     The blind searcher ranges over every channel label, not just the node's
     usable set, so many attempts land on channels where the node cannot
     complete a handshake (the engine drops those attempts). Its draws carry
-    no state, so a window is whatever DRAWS rejection draws accept.
+    no state, so a window is whatever DRAWS rejection draws accept; the
+    channels do not depend on DRAWS (see window).
     """
 
-    DRAWS = 64
+    DRAWS = 256
 
     def __init__(self, pool, rng):
         self.pool = sorted(pool)
@@ -206,7 +213,9 @@ class RandomClock(_Clock):
 
     def window(self):
         # randrange(len(pool)) per half-slot: the same getrandbits rejection,
-        # so the same stream
+        # so the same stream; one getrandbits(32 * DRAWS) holds the outputs
+        # of DRAWS getrandbits(32) calls in order, so DRAWS only sets where
+        # the stream is cut
         if self._bytewise:
             words = self._bits(32 * self.DRAWS).to_bytes(4 * self.DRAWS, "little")
             return list(words[3::4].translate(self._labels, self._rejects))

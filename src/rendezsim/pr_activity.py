@@ -190,6 +190,9 @@ class ChannelOccupancy:
 
         An OFF spell [a, b) makes half-slots ceil(2a) .. ceil(2b - 1) - 1
         idle: those h with a <= h/2 and h/2 + 1/2 < b, busy_during's test.
+        Each channel takes its transitions up to the block's start as
+        _advance does, then walks its OFF spells to the block's end,
+        drawing the OFF and the ON sojourns in turn at their own rates.
         """
         size = self.BLOCK
         t0, t_end = first * 0.5, (first + size - 1) * 0.5
@@ -201,16 +204,25 @@ class ChannelOccupancy:
         ceil, log = math.ceil, math.log
         for c, rand in enumerate(self._randoms):
             label = c + 1
-            on, nxt = self._advance(c, t0)
-            spell = 0  # the current spell's first half-slot, from first
-            while True:
-                if not on:
-                    for h in range(spell, min(size, ceil(2 * nxt - 1) - first)):
-                        block[h].append(label)
-                if nxt > t_end:
-                    break
-                spell = ceil(2 * nxt) - first
+            on, nxt = self._on[c], self._next[c]
+            while nxt <= t0:
                 on = not on
                 nxt += -log(1.0 - rand()) / (on_rate if on else off_rate)
+            if not on:  # the OFF spell under way at t0, ending at nxt
+                for idle in block[:ceil(2 * nxt - 1) - first]:
+                    idle.append(label)
+                if nxt <= t_end:
+                    nxt += -log(1.0 - rand()) / on_rate
+                    on = True
+            # ON until nxt; then an OFF spell [start, nxt), and so on
+            while on and nxt <= t_end:
+                start = nxt
+                nxt += -log(1.0 - rand()) / off_rate
+                for idle in block[ceil(2 * start) - first:ceil(2 * nxt - 1) - first]:
+                    idle.append(label)
+                if nxt <= t_end:
+                    nxt += -log(1.0 - rand()) / on_rate
+                else:
+                    on = False
             self._on[c], self._next[c], self._last_query[c] = on, nxt, t_end
         return block

@@ -436,3 +436,31 @@ def test_random_clock_draws_the_randrange_stream():
                     expected = [reference.randrange(size) for _ in range(50)]
                 assert got == expected, draw
                 assert rng.getstate() == reference.getstate(), draw
+
+
+@pytest.mark.parametrize("size", [1, 3, 20, 255, 256, 300])
+def test_rcs_channels_do_not_depend_on_the_window_size(size, monkeypatch):
+    # getrandbits(32 * n) lays out n outputs in order, so a window of DRAWS
+    # draws cuts the stream without changing it; pools of up to 255 labels
+    # take one byte a draw, larger ones are drawn one call at a time
+    pool = list(range(1, size + 1))
+    streams = []
+    for draws in (64, 256):
+        monkeypatch.setattr(RandomClock, "DRAWS", draws)
+        clocks = [RandomClock(pool, random.Random(seed)) for seed in (0, 5, 2**40 + 3)]
+        assert all(clock._bytewise == (size < 256) for clock in clocks)
+        streams.append([half_slots(clock, 3000) for clock in clocks])
+    assert streams[0] == streams[1]
+
+
+def test_split_primality_matches_trial_division_and_hands_out_fresh_lists():
+    labels = range(1, 1001)
+    primes = [n for n in labels if n > 1 and all(n % f for f in range(2, n))]
+    assert split_primality(labels) == (primes, [n for n in labels if n not in primes])
+    # the prime test is cached per label; the lists must not be, or two
+    # clocks could share a mutable mp or np_
+    first, again = split_primality(labels), split_primality(labels)
+    assert first == again
+    assert first[0] is not again[0] and first[1] is not again[1]
+    a, b = (DualModularClock(range(1, 11), random.Random(0)) for _ in range(2))
+    assert a.mp is not b.mp and a.np_ is not b.np_

@@ -238,11 +238,14 @@ def test_busy_during_keeps_the_is_busy_guards():
         occ.busy_during(2, 9)
 
 
-@pytest.mark.parametrize("level, pool", [("high", 6), ("0.5:0.5", 4), ("200:300", 1), ("0.5:300", 2)])
+@pytest.mark.parametrize("level, pool", [("high", 6), ("high", 1), ("0.5:0.5", 4), ("200:300", 1),
+                                         ("0.5:300", 2), ("0.02:0.02", 3), ("20:20", 3)])
 def test_idle_channels_match_busy_during(level, pool):
     # the schedule draws each channel's own sojourns block by block, the lazy
     # sampler one query at a time; 200:300 and 0.5:300 have spells far
-    # shorter than a half-slot, OFF and ON ones respectively
+    # shorter than a half-slot, OFF and ON ones respectively, 20:20 switches
+    # about ten times a half-slot, and 0.02:0.02's spells, 50 slots on
+    # average, outlast a block
     params = PrParams.from_name(level)
     scheduled = ChannelOccupancy(params, pool, rng_seed=11)
     lazy = ChannelOccupancy(params, pool, rng_seed=11)
