@@ -86,17 +86,25 @@ def _run_and_emit(args, grids, trace=None):
 
 
 def _refuse_unfinishable(grids):
-    """Raise ValueError for the first cell whose PR leaves it no expected idle
-    (channel, half-slot) before its cap, C·2·max_slots·PrParams.idle_prob < 1:
-    a handshake needs one, so no run of that cell could finish."""
+    """Raise ValueError for the first cell no run of which could finish.
+
+    - Its PR leaves it no expected idle (channel, half-slot) before its cap,
+      C·2·max_slots·PrParams.idle_prob < 1, and a handshake needs one.
+    - It has one channel and N >= 3. Every node then always sits on it, and
+      every edge of a connected graph of 3 or more nodes has an end with a
+      second neighbour, so every meeting pair collides with another.
+    """
     for grid in grids:
         for _, cfg in grid.cells():
+            cell = (f"cell {cfg.protocol} {cfg.termination} N={cfg.n_nodes} C={cfg.pool_size} "
+                    f"m={cfg.similarity} pr={cfg.pr.name}")
             expected = cfg.pool_size * 2 * cfg.max_slots * cfg.pr.idle_prob
             if expected < 1:
-                raise ValueError(
-                    f"cell {cfg.protocol} {cfg.termination} N={cfg.n_nodes} C={cfg.pool_size} "
-                    f"m={cfg.similarity} pr={cfg.pr.name}: {expected:.3g} idle (channel, "
-                    f"half-slot) options expected in {cfg.max_slots} slots, so no run can finish")
+                raise ValueError(f"{cell}: {expected:.3g} idle (channel, half-slot) options "
+                                 f"expected in {cfg.max_slots} slots, so no run can finish")
+            if cfg.pool_size == 1 and cfg.n_nodes >= 3:
+                raise ValueError(f"{cell}: on one channel every meeting pair of 3 or more "
+                                 f"connected nodes collides, so no run can finish")
 
 
 class _TraceFile:

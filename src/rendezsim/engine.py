@@ -10,7 +10,7 @@ from operator import eq, itemgetter
 from . import protocol as proto
 from .hopping import make_clock, PROTOCOLS
 from .metrics import ctm, mean_or_none, ptm
-from .pr_activity import PrParams, ChannelOccupancy
+from .pr_activity import idle_channels
 from .topology import deploy, assign_channels
 
 DEFAULT_MAX_SLOTS = 50_000
@@ -192,12 +192,12 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     the in-range pairs that meet on a channel both can use, as (channel, i,
     j) tuples. With PR off it compares the two ends of every in-range pair
     at once; with PR on it looks only at the nodes on the channels of the
-    next idle_channels() set, since a handshake on any other defers to PR;
-    those sets come a block at a time from a walk over each channel's OFF
-    spells (ChannelOccupancy._schedule). resolve_half_slot keeps the
-    contacts that do not collide, and they handshake in (channel, i, j)
-    order. The run ends after both halves of the slot in which the last node
-    gets its stop mark, or raises IncompleteRun when max_slots slots pass.
+    next set of pr_activity.idle_channels, since a handshake on any other
+    defers to PR; those sets come a block at a time from each channel's own
+    stream of OFF spells. resolve_half_slot keeps the contacts that do not
+    collide, and they handshake in (channel, i, j) order. The run ends after
+    both halves of the slot in which the last node gets its stop mark, or
+    raises IncompleteRun when max_slots slots pass.
 
     A stop mark only freezes a node's PTM: the node keeps hopping,
     handshaking and relaying gossip, which a neighbour may need, until every
@@ -225,7 +225,7 @@ def run_once(cfg, topo=None, chans=None, trace=None):
     # a node can only transact on a channel in its usable set; blind
     # searchers that tuned elsewhere listen without effect
     if cfg.pr.enabled:
-        idle = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed).idle_channels()
+        idle = idle_channels(cfg.pr, cfg.pool_size, occ_seed)
 
         def find_meets(selections):
             meets = []

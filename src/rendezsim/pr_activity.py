@@ -94,135 +94,125 @@ class PrParams(namedtuple("PrParams", "lambda_x lambda_y enabled", defaults=(1.0
                         for rate in (self.lambda_x, self.lambda_y))
 
 
-class ChannelOccupancy:
-    """Per-channel ON/OFF process with PR on, queried at half-slot boundaries.
+# half-slots idle_channels schedules at a time
+BLOCK = 64
 
-    Channels are labelled 1..n_channels. Each channel draws from its own
-    stream, seeded from rng_seed and its label, so its answers depend only on
-    the times it is asked about: never on whether, when or in what order
-    other channels are asked. Initial states are drawn from the stationary
-    distribution; sojourns are exponential, and memorylessness makes the
-    stationary residual time another exponential, so the first transition is
-    sampled from the same law. State is constant within a half-slot. With PR
-    off every channel is always idle, so PrParams.off() raises ValueError.
+
+def _off_spells(rand, params):
+    """One channel's OFF spells [start, end), in time order, drawn from its
+    bound random: the state at time 0 from the stationary distribution, then
+    the ON and OFF sojourns in turn. Memorylessness makes the stationary
+    residual sojourn another exponential, so the first is sampled from the
+    same law. A sojourn at rate lambda is -log(1.0 - random()) / lambda,
+    Random.expovariate's own formula, written out where it is drawn.
     """
+    log = math.log
+    on_rate, off_rate = params.lambda_y, params.lambda_x
+    start = -log(1.0 - rand()) / on_rate if rand() < params.utilization else 0.0
+    while True:
+        end = start + -log(1.0 - rand()) / off_rate
+        yield start, end
+        start = end + -log(1.0 - rand()) / on_rate
 
-    # half-slots idle_channels schedules at a time
-    BLOCK = 64
+
+def _channel_spells(params, n_channels, rng_seed):
+    """Channels 1..n_channels' OFF spells, each on a stream seeded by rng_seed|label."""
+    return [_off_spells(random.Random(f"{rng_seed}|{label}").random, params)
+            for label in range(1, n_channels + 1)]
+
+
+def idle_channels(params, n_channels, rng_seed):
+    """The channels idle for the whole half-slot, ascending, for half-slots
+    0, 1, 2, ... in turn, with PR on.
+
+    A pure function of its arguments: it draws its own OFF spells, those that
+    ChannelOccupancy(params, n_channels, rng_seed) reads, and gives the
+    channels busy_during calls free, a BLOCK of half-slots at a time, the
+    blocks chained in C. An OFF spell [a, b) idles half-slots ceil(2a) ..
+    ceil(2b - 1) - 1, those h with a <= h/2 and h/2 + 1/2 < b. Each channel
+    keeps its current spell as those two integer bounds, starting from an
+    empty (0, 0).
+    """
+    streams = _channel_spells(params, n_channels, rng_seed)
+    spans = [(0, 0)] * n_channels
+    ceil = math.ceil
+
+    def schedule(first):
+        end = first + BLOCK
+        block = [[] for _ in range(BLOCK)]
+        for c, spells in enumerate(streams):
+            label = c + 1
+            lo, hi = spans[c]
+            while lo < end:
+                if hi > lo:  # a spell within one half-slot idles none
+                    for idle in block[lo - first:hi - first]:
+                        idle.append(label)
+                if hi > end:  # on into the next block, whose start it idles
+                    lo = end
+                    break
+                start, stop = next(spells)
+                lo, hi = ceil(2 * start), ceil(2 * stop - 1)
+            spans[c] = lo, hi
+        return block
+
+    return chain.from_iterable(map(schedule, count(0, BLOCK)))
+
+
+class ChannelOccupancy:
+    """One-channel queries on the ON/OFF process with PR on, at half-slot
+    boundaries: is_busy and busy_during.
+
+    Channels are labelled 1..n_channels, and each reads its own OFF spells,
+    the ones idle_channels schedules, through a cursor that only moves
+    forward. So a channel's answers depend only on the times it is asked
+    about: never on other channels' queries, nor on any idle_channels
+    stream. The engine reads idle_channels; demo 04, acceptance criterion 6,
+    tests/test_reference_loop.py and perfbench's tracer use these queries.
+    With PR off every channel is always idle, so PrParams.off() raises
+    ValueError.
+    """
 
     def __init__(self, params, n_channels, rng_seed):
         if not params.enabled:
             raise ValueError("ChannelOccupancy needs PR on; with PR off every channel is idle")
-        self.params = params
         self.n_channels = n_channels
-        # per channel, the bound random of its own stream; a sojourn at rate
-        # lambda is -log(1.0 - random()) / lambda, Random.expovariate's own
-        # formula, written out where it is drawn
-        self._randoms = [random.Random(f"{rng_seed}|{c + 1}").random
-                         for c in range(n_channels)]
-        self._on = [r() < params.utilization for r in self._randoms]
-        self._next = [-math.log(1.0 - r()) / (params.lambda_y if on else params.lambda_x)
-                      for r, on in zip(self._randoms, self._on)]
+        self._spells = _channel_spells(params, n_channels, rng_seed)
+        self._spell = [next(spells) for spells in self._spells]
         self._last_query = [-math.inf] * n_channels
 
     def is_busy(self, channel, half_slot_index):
-        """Process state at the start of the given half-slot (time in slots).
-
-        Advances the channel like busy_during, under the same checks.
+        """Process state at the start of the given half-slot (time in slots):
+        busy unless an OFF spell has started and not yet ended. Moves the
+        channel's cursor like busy_during, under the same checks.
         """
-        self.busy_during(channel, half_slot_index)
-        return self._on[channel - 1]
+        return half_slot_index * 0.5 < self._spell_after(channel, half_slot_index)[0]
 
     def busy_during(self, channel, half_slot_index):
         """Whether the channel is occupied at any point in the half-slot.
 
         A handshake needs the channel for the whole half-slot, so a primary
         arrival inside the interval disrupts it just like one already present
-        at the start. Advances the channel to the half-slot's start, then
-        peeks at its next transition without drawing, so later queries at
-        the same boundary are unaffected. Queries per channel must move
-        forward in time; a backwards query signals an engine ordering bug and
-        is rejected, as is a channel outside the pool. The answer is a pure
-        function of the channel's own stream and the half-slot, so asking
-        about one channel never changes another's answers.
+        at the start. Later queries at the same boundary get the same answer.
+        Queries per channel must move forward in time; a backwards query
+        signals an engine ordering bug and is rejected, as is a channel
+        outside the pool.
         """
+        t = half_slot_index * 0.5
+        start, end = self._spell_after(channel, half_slot_index)
+        return t < start or end <= t + 0.5
+
+    def _spell_after(self, channel, half_slot_index):
+        """The channel's first OFF spell that ends after the half-slot's start."""
         if not 1 <= channel <= self.n_channels:
             raise ValueError(f"channel {channel} outside pool 1..{self.n_channels}")
         t = half_slot_index * 0.5
         idx = channel - 1
         if t < self._last_query[idx]:
-            raise ValueError(
-                f"time went backwards on channel {channel}: "
-                f"{t} < {self._last_query[idx]}"
-            )
+            raise ValueError(f"time went backwards on channel {channel}: "
+                             f"{t} < {self._last_query[idx]}")
         self._last_query[idx] = t
-        on, nxt = self._advance(idx, t)
-        return on or nxt <= t + 0.5
-
-    def _advance(self, idx, t):
-        """Take channel idx's transitions up to and including time t; its
-        (on, next transition) after them."""
-        on, nxt = self._on[idx], self._next[idx]
-        if nxt <= t:
-            rand, log = self._randoms[idx], math.log
-            on_rate, off_rate = self.params.lambda_y, self.params.lambda_x
-            while nxt <= t:
-                on = not on
-                nxt += -log(1.0 - rand()) / (on_rate if on else off_rate)
-            self._on[idx], self._next[idx] = on, nxt
-        return on, nxt
-
-    def idle_channels(self):
-        """The channels idle for the whole half-slot, ascending, for half-slots
-        0, 1, 2, ... in turn.
-
-        These are the channels busy_during calls free, scheduled a BLOCK of
-        half-slots at a time by advancing each channel's own stream as
-        busy_during does, so the two draw the same sojourns. Each channel
-        counts as queried at a scheduled block's last half-slot: busy_during
-        inside it raises, as any backwards query does, and a busy_during
-        ahead of the stream makes the next block raise.
-        """
-        return chain.from_iterable(map(self._schedule, count(0, self.BLOCK)))
-
-    def _schedule(self, first):
-        """idle_channels' answers for the BLOCK half-slots from first.
-
-        An OFF spell [a, b) makes half-slots ceil(2a) .. ceil(2b - 1) - 1
-        idle: those h with a <= h/2 and h/2 + 1/2 < b, busy_during's test.
-        Each channel takes its transitions up to the block's start as
-        _advance does, then walks its OFF spells to the block's end,
-        drawing the OFF and the ON sojourns in turn at their own rates.
-        """
-        size = self.BLOCK
-        t0, t_end = first * 0.5, (first + size - 1) * 0.5
-        for c, last in enumerate(self._last_query):
-            if t0 < last:
-                raise ValueError(f"time went backwards on channel {c + 1}: {t0} < {last}")
-        block = [[] for _ in range(size)]
-        on_rate, off_rate = self.params.lambda_y, self.params.lambda_x
-        ceil, log = math.ceil, math.log
-        for c, rand in enumerate(self._randoms):
-            label = c + 1
-            on, nxt = self._on[c], self._next[c]
-            while nxt <= t0:
-                on = not on
-                nxt += -log(1.0 - rand()) / (on_rate if on else off_rate)
-            if not on:  # the OFF spell under way at t0, ending at nxt
-                for idle in block[:ceil(2 * nxt - 1) - first]:
-                    idle.append(label)
-                if nxt <= t_end:
-                    nxt += -log(1.0 - rand()) / on_rate
-                    on = True
-            # ON until nxt; then an OFF spell [start, nxt), and so on
-            while on and nxt <= t_end:
-                start = nxt
-                nxt += -log(1.0 - rand()) / off_rate
-                for idle in block[ceil(2 * start) - first:ceil(2 * nxt - 1) - first]:
-                    idle.append(label)
-                if nxt <= t_end:
-                    nxt += -log(1.0 - rand()) / on_rate
-                else:
-                    on = False
-            self._on[c], self._next[c], self._last_query[c] = on, nxt, t_end
-        return block
+        spell = self._spell[idx]
+        while spell[1] <= t:
+            spell = next(self._spells[idx])
+        self._spell[idx] = spell
+        return spell

@@ -7,7 +7,7 @@ from itertools import combinations, repeat
 
 import pytest
 
-from rendezsim import engine
+from rendezsim import engine, pr_activity
 from rendezsim.engine import (
     IncompleteRun,
     RunConfig,
@@ -18,7 +18,7 @@ from rendezsim.engine import (
 )
 from rendezsim.cli import main
 from rendezsim.hopping import PROTOCOLS, DualModularClock, ModularClock, RandomClock
-from rendezsim.pr_activity import ChannelOccupancy, PrParams
+from rendezsim.pr_activity import PrParams, idle_channels
 from rendezsim.protocol import RUN_TO_FULL, TERMINATION_MODES
 from rendezsim.topology import _build_topology, assign_channels, deploy
 
@@ -45,7 +45,7 @@ def full_mesh_channels(n, pool=10):
 def test_pr_busy_channel_defers_all_attempts(monkeypatch):
     # with every channel busy in every half-slot, two nodes on one shared
     # channel meet all the time and never handshake
-    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self: repeat([]))
+    monkeypatch.setattr(engine, "idle_channels", lambda *args: repeat([]))
     buf = io.StringIO()
     with pytest.raises(IncompleteRun):
         run_once(make_cfg(n_nodes=2, pr=PrParams.high(), max_slots=50),
@@ -60,7 +60,7 @@ def test_meeting_pairs_on_idle_channels_handshake():
 def test_mixed_busy_and_idle_channels(monkeypatch):
     # only channel 4 is ever idle: the two nodes meet on all ten channels,
     # and handshake on channel 4 alone
-    monkeypatch.setattr(ChannelOccupancy, "idle_channels", lambda self: repeat([4]))
+    monkeypatch.setattr(engine, "idle_channels", lambda *args: repeat([4]))
     buf = io.StringIO()
     run_once(make_cfg(n_nodes=2, pr=PrParams.high(), seed=3),
              topo=chain_topology(n=2), chans=full_mesh_channels(2), trace=buf)
@@ -82,8 +82,8 @@ def test_handshakes_are_the_cleared_meets_on_idle_channels():
     meets = [(3, 0, 1), (3, 1, 2), (7, 3, 4), (9, 5, 6), (7, 7, 8)]
     assert resolve_half_slot(meets) == [(7, 3, 4), (7, 7, 8), (9, 5, 6)]
     # in a run with PR on, the handshakes are exactly the meeting pairs that
-    # no third co-channel neighbour collides with, on a channel that a fresh
-    # occupancy of the run's PR seed calls idle for the whole half-slot
+    # no third co-channel neighbour collides with, on a channel that
+    # idle_channels, given the run's PR seed, calls idle for the whole half-slot
     n = 10
     topo = deploy(n, (300.0, 300.0), 100.0, 5)
     chans = assign_channels(n, 10, 2, 6)
@@ -109,9 +109,9 @@ def test_handshakes_are_the_cleared_meets_on_idle_channels():
                    if i < j and co_channel(h, i) == {j} and co_channel(h, j) == {i}}
         master = random.Random(cfg.seed)  # as run_once derives its seeds
         _topo_seed, _chan_seed, occ_seed = (master.getrandbits(63) for _ in range(3))
-        occupancy = ChannelOccupancy(cfg.pr, cfg.pool_size, occ_seed)
         half_slots = range(max(h for h, _ in selected) + 1)
-        idle = {(h, c) for h, cs in zip(half_slots, occupancy.idle_channels()) for c in cs}
+        idle = {(h, c) for h, cs in zip(half_slots, idle_channels(cfg.pr, cfg.pool_size, occ_seed))
+                for c in cs}
         assert handshakes == {m for m in cleared if m[:2] in idle}
         assert handshakes and handshakes < cleared  # PR defers some cleared meets
 
@@ -120,8 +120,8 @@ def test_disabled_pr_is_never_asked(monkeypatch):
     def never(*args):
         raise AssertionError("PR asked with PR off")
 
-    monkeypatch.setattr(ChannelOccupancy, "idle_channels", never)
-    monkeypatch.setattr(ChannelOccupancy, "busy_during", never)
+    monkeypatch.setattr(engine, "idle_channels", never)
+    monkeypatch.setattr(pr_activity, "_off_spells", never)  # every PR draw starts here
     record = run_once(make_cfg(n_nodes=2), topo=chain_topology(n=2),
                       chans=full_mesh_channels(2))
     assert None not in record.t_full

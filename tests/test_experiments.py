@@ -682,6 +682,26 @@ def test_cli_refuses_a_pr_level_at_which_no_run_can_finish(tmp_path, capsys):
     assert main(_with(RUN_ARGS, "--pr", "0.5:300") + ["--out", str(out)]) == 0
 
 
+def test_cli_refuses_one_channel_cells_of_three_or_more_nodes(tmp_path, capsys):
+    # with C=1 every node always sits on channel 1, and every edge of a
+    # connected graph of 3 or more nodes has an end with a second neighbour:
+    # every meeting pair collides, under any protocol, termination or PR
+    out = tmp_path / "agg.csv"
+    one_channel = _with(_with(RUN_ARGS, "--channels", "1"), "--similarity", "1")
+    for protocol, nodes, level in (("mrdmca", "3", "off"), ("rcs", "10", "high")):
+        args = _with(_with(_with(one_channel, "--protocol", protocol), "--nodes", nodes),
+                     "--pr", level)
+        assert main(args + ["--out", str(out)]) == 2
+        err = _one_error_line(capsys)
+        assert err.startswith(f"rendezsim: cell {protocol} controlled N={nodes} C=1 m=1 "
+                              f"pr={level}: ")
+        assert err.endswith(" no run can finish\n")
+    assert not out.exists()
+    # a lone pair on one channel meets every half-slot and handshakes at once
+    assert main(_with(one_channel, "--nodes", "2") + ["--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_cli_rejects_malformed_pr_rates_and_grid_lines_in_one_line(tmp_path, capsys):
     out = tmp_path / "agg.csv"
     for level in ("1:2:3", ":", "a:b"):

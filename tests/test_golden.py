@@ -6,7 +6,10 @@ it, written by `rendezsim sweep --config <grid> --out <agg> --runs-out <runs>`:
 - `grid.txt` (`runs.csv`, `agg.csv`): every protocol and termination policy
   at N=3 and N=10, including capped `incomplete` rows;
 - `grid20.txt` (`runs20.csv`, `agg20.csv`): the paper's scale, N=20 and C=20
-  with similarity 2 and 5, on one shared deployment.
+  with similarity 2 and 5, on one shared deployment;
+- `gridpr.txt` (`runspr.csv`, `aggpr.csv`): N=3 and C=7 under light and slow
+  PR (`0.5:0.5`, `2:2`, `0.02:0.02`), whose spells are shorter than a
+  half-slot or cross a block of the PR schedule; the other two use `high`.
 
 A change that alters any simulated number fails here. A deliberate change to
 the random stream regenerates the files in a commit of its own. The corpora
@@ -29,7 +32,8 @@ from rendezsim.experiments import aggregate_csv, parse_grid_config, run_grid, ru
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
 CORPORA = {"grid": ("grid.txt", "runs.csv", "agg.csv"),
-           "grid20": ("grid20.txt", "runs20.csv", "agg20.csv")}
+           "grid20": ("grid20.txt", "runs20.csv", "agg20.csv"),
+           "gridpr": ("gridpr.txt", "runspr.csv", "aggpr.csv")}
 
 
 @pytest.mark.parametrize("grid_file, runs_file, agg_file",

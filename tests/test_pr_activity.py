@@ -2,11 +2,21 @@
 
 import math
 import random
+from bisect import bisect_right
 from itertools import islice
 
 import pytest
 
-from rendezsim.pr_activity import HIGH_MEAN_OFF, HIGH_MEAN_ON, MAX_RATE, ChannelOccupancy, PrParams
+from rendezsim.pr_activity import (
+    BLOCK,
+    HIGH_MEAN_OFF,
+    HIGH_MEAN_ON,
+    MAX_RATE,
+    ChannelOccupancy,
+    PrParams,
+    _off_spells,
+    idle_channels,
+)
 
 
 def test_an_occupancy_needs_pr_on():
@@ -81,21 +91,11 @@ def test_empirical_busy_fraction_matches_stationary_value():
 
 
 def test_empirical_sojourn_means_match_rates():
-    # sample on a fine grid (0.05 slots) so short OFF spells are not missed
+    # exact spell lengths: an OFF spell's own, and the ON sojourn between two
     params = PrParams.high()
-    occ = ChannelOccupancy(params, 1, rng_seed=7)
-    dt = 0.05
-    states = [occ.is_busy(1, h * dt * 2) for h in range(2_000_000)]
-    on_spans, off_spans = [], []
-    run_len = 1
-    for prev, cur in zip(states, states[1:]):
-        if cur == prev:
-            run_len += 1
-        else:
-            (on_spans if prev else off_spans).append(run_len * dt)
-            run_len = 1
-    mean_on = sum(on_spans) / len(on_spans)
-    mean_off = sum(off_spans) / len(off_spans)
+    spells = list(islice(_off_spells(random.Random("7|1").random, params), 20_000))
+    mean_off = sum(end - start for start, end in spells) / len(spells)
+    mean_on = sum(b[0] - a[1] for a, b in zip(spells, spells[1:])) / (len(spells) - 1)
     assert abs(mean_on - 8.5) / 8.5 < 0.05
     assert abs(mean_off - 1.5) / 1.5 < 0.05
 
@@ -153,55 +153,59 @@ def test_busy_during_fraction_matches_residual_free_time_law():
     assert params.idle_prob == expected and PrParams.off().idle_prob == 1.0
 
 
+def expovariate_transitions(params, seed, channel, count):
+    """A channel's state at time 0 and its first transition times, drawn with
+    CPython's Random.expovariate from the channel's stream."""
+    rng = random.Random(f"{seed}|{channel}")
+    on = rng.random() < params.utilization
+    times, t, now_on = [], 0.0, on
+    for _ in range(count):
+        t += rng.expovariate(params.lambda_y if now_on else params.lambda_x)
+        times.append(t)
+        now_on = not now_on
+    return on, times
+
+
 @pytest.mark.parametrize("level", ["high", "0.5:0.5", "0.5:300"])
 def test_transition_times_are_cpythons_expovariate_draws(level):
-    # ChannelOccupancy writes Random.expovariate's formula out where it draws;
-    # an interpreter whose expovariate draws otherwise fails here
+    # _off_spells writes Random.expovariate's formula out where it draws; an
+    # interpreter whose expovariate draws otherwise fails here
     params = PrParams.from_name(level)
-    seed, pool = 31, 3
-    occ = ChannelOccupancy(params, pool, rng_seed=seed)
-    for c in range(1, pool + 1):
-        rng = random.Random(f"{seed}|{c}")
-        on = rng.random() < params.utilization
-        t = rng.expovariate(params.lambda_y if on else params.lambda_x)
-        for _ in range(400):
-            assert (occ._on[c - 1], occ._next[c - 1]) == (on, t)
-            occ._advance(c - 1, t)  # takes exactly the transition at t
-            on = not on
-            t += rng.expovariate(params.lambda_y if on else params.lambda_x)
+    seed = 31
+    for c in (1, 2, 3):
+        on, times = expovariate_transitions(params, seed, c, 801)
+        edges = ([] if on else [0.0]) + times  # OFF spells start and end here
+        expected = list(zip(edges[::2], edges[1::2]))[:400]
+        spells = islice(_off_spells(random.Random(f"{seed}|{c}").random, params), 400)
+        assert list(spells) == expected
 
 
-def reference_busy_during(occ, channel, half_slot_index):
-    """The former busy_during: an is_busy advance, then a peek."""
-    idx = channel - 1
+def reference_busy_during(transitions, half_slot_index):
+    """busy_during from a state at time 0 and a list of transition times: the
+    state after the transitions up to the half-slot's start, or a transition
+    before its end."""
+    on, times = transitions
     t = half_slot_index * 0.5
-    assert t >= occ._last_query[idx]
-    occ._last_query[idx] = t
-    while occ._next[idx] <= t:
-        occ._on[idx] = not occ._on[idx]
-        rate = occ.params.lambda_y if occ._on[idx] else occ.params.lambda_x
-        occ._next[idx] += occ._randoms[idx].__self__.expovariate(rate)
-    if occ._on[idx]:
-        return True
-    return occ._next[idx] <= (half_slot_index + 1) * 0.5
+    k = bisect_right(times, t)
+    return on != (k % 2 == 1) or times[k] <= t + 0.5
 
 
-def test_fused_busy_during_matches_is_busy_then_peek():
+def test_busy_during_and_is_busy_match_an_expovariate_transition_list():
     # a random forward query sequence over several channels, with repeats at
-    # one boundary, under high PR: answers and every channel's stream must
-    # agree
+    # one boundary, under high PR
     pool = 7
     for seed in range(5):
-        fused = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
-        reference = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
+        occ = ChannelOccupancy(PrParams.high(), pool, rng_seed=seed)
+        transitions = {c: expovariate_transitions(PrParams.high(), seed, c, 2000)
+                       for c in range(1, pool + 1)}
         picks = random.Random(seed)
         h = 0
         for _ in range(4000):
             h += picks.choice((0, 0, 1, 1, 2, 5))
             ch = picks.randint(1, pool)
-            assert fused.busy_during(ch, h) == reference_busy_during(reference, ch, h)
-        assert ([rand.__self__.getstate() for rand in fused._randoms]
-                == [rand.__self__.getstate() for rand in reference._randoms])
+            on, times = transitions[ch]
+            assert occ.is_busy(ch, h) == (on != (bisect_right(times, h * 0.5) % 2 == 1))
+            assert occ.busy_during(ch, h) == reference_busy_during(transitions[ch], h)
 
 
 def test_a_channel_answers_the_same_whatever_else_is_asked():
@@ -241,33 +245,31 @@ def test_busy_during_keeps_the_is_busy_guards():
 @pytest.mark.parametrize("level, pool", [("high", 6), ("high", 1), ("0.5:0.5", 4), ("200:300", 1),
                                          ("0.5:300", 2), ("0.02:0.02", 3), ("20:20", 3)])
 def test_idle_channels_match_busy_during(level, pool):
-    # the schedule draws each channel's own sojourns block by block, the lazy
-    # sampler one query at a time; 200:300 and 0.5:300 have spells far
+    # the schedule walks each channel's OFF spells block by block, the
+    # queries one half-slot at a time; 200:300 and 0.5:300 have spells far
     # shorter than a half-slot, OFF and ON ones respectively, 20:20 switches
     # about ten times a half-slot, and 0.02:0.02's spells, 50 slots on
     # average, outlast a block
     params = PrParams.from_name(level)
-    scheduled = ChannelOccupancy(params, pool, rng_seed=11)
     lazy = ChannelOccupancy(params, pool, rng_seed=11)
     idle_seen = 0
-    for h, idle in zip(range(20_000), scheduled.idle_channels()):
+    for h, idle in zip(range(20_000), idle_channels(params, pool, 11)):
         assert idle == [c for c in range(1, pool + 1) if not lazy.busy_during(c, h)], h
         idle_seen += len(idle)
     assert 0 < idle_seen or level == "200:300"
 
 
-def test_idle_channels_mark_their_block_as_queried():
-    occ = ChannelOccupancy(PrParams.high(), 3, rng_seed=1)
-    lazy = ChannelOccupancy(PrParams.high(), 3, rng_seed=1)
-    last = ChannelOccupancy.BLOCK - 1  # of the first block
-    expected = [[c for c in (1, 2, 3) if not lazy.busy_during(c, h)] for h in range(last + 2)]
-    stream = occ.idle_channels()
-    assert next(stream) == expected[0]  # schedules half-slots 0 .. last
-    with pytest.raises(ValueError, match="backwards"):
-        occ.busy_during(2, last - 1)
-    occ.busy_during(2, last)  # the block's last half-slot is not behind it
-    assert list(islice(stream, last + 1)) == expected[1:]
-    # a query ahead of the stream makes the next block go backwards
-    occ.busy_during(2, 3 * last)
-    with pytest.raises(ValueError, match="backwards"):
-        list(islice(stream, last + 1))
+def test_idle_channels_is_a_pure_function_of_its_arguments():
+    # two calls give the same stream, however far either has been read, and
+    # so does a call after any queries on an occupancy of the same seed
+    params, pool, seed = PrParams.high(), 3, 1
+    first = idle_channels(params, pool, seed)
+    head = list(islice(first, BLOCK + 5))
+    occ = ChannelOccupancy(params, pool, seed)
+    for h in (0, 3, BLOCK - 1, 3 * BLOCK):
+        occ.busy_during(2, h)
+        occ.is_busy(3, h)
+    again = idle_channels(params, pool, seed)
+    assert list(islice(again, BLOCK + 5)) == head
+    assert list(islice(first, 2 * BLOCK)) == list(islice(again, 2 * BLOCK))
+    assert list(islice(idle_channels(params, pool, seed), len(head))) == head
