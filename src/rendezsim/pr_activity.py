@@ -116,7 +116,10 @@ def _off_spells(rand, params):
 
 
 def _channel_spells(params, n_channels, rng_seed):
-    """Channels 1..n_channels' OFF spells, each on a stream seeded by rng_seed|label."""
+    """Channels 1..n_channels' OFF spells, each on a stream seeded by rng_seed|label.
+    With PR off every channel is always idle, so PrParams.off() raises ValueError."""
+    if not params.enabled:
+        raise ValueError("the PR process needs PR on; with PR off every channel is idle")
     return [_off_spells(random.Random(f"{rng_seed}|{label}").random, params)
             for label in range(1, n_channels + 1)]
 
@@ -173,8 +176,6 @@ class ChannelOccupancy:
     """
 
     def __init__(self, params, n_channels, rng_seed):
-        if not params.enabled:
-            raise ValueError("ChannelOccupancy needs PR on; with PR off every channel is idle")
         self.n_channels = n_channels
         self._spells = _channel_spells(params, n_channels, rng_seed)
         self._spell = [next(spells) for spells in self._spells]

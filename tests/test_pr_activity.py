@@ -21,9 +21,11 @@ from rendezsim.pr_activity import (
 
 def test_an_occupancy_needs_pr_on():
     # with PR off every channel is always idle and the engine builds no
-    # occupancy, so there is no PR-off process to query
+    # occupancy, so there is no PR-off process to query or schedule
     with pytest.raises(ValueError, match="PR on"):
         ChannelOccupancy(PrParams.off(), 10, rng_seed=0)
+    with pytest.raises(ValueError, match="PR on"):
+        idle_channels(PrParams.off(), 10, rng_seed=0)
 
 
 def test_equal_rates_give_half_utilization():
