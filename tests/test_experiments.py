@@ -518,6 +518,31 @@ def test_cli_audit_detects_tampering(tmp_path, capsys):
     assert main(["audit", str(runs_out)]) == 1
 
 
+def test_cli_audit_refuses_unexpected_columns(tmp_path, capsys):
+    runs_out = tmp_path / "runs.csv"
+    main(RUN_ARGS + ["--runs-out", str(runs_out), "--out", str(tmp_path / "a.csv")])
+    lines = runs_out.read_text().splitlines()
+    header_at = next(i for i, l in enumerate(lines) if l.startswith("scenario"))
+    lines[header_at] = lines[header_at].replace(",ctm,", ",")
+    runs_out.write_text("\n".join(lines) + "\n")
+    assert main(["audit", str(runs_out)]) == 1
+    assert "audit: unexpected columns " in capsys.readouterr().err
+
+
+def test_cli_sweep_seed_replaces_the_configs_seed(tmp_path):
+    body = ("protocols = mrdmca\nterminations = controlled\nnodes = 3\n"
+            "channels = 10\nsimilarity = 5\npr = off\nruns = 3\n")
+    runs = {}
+    for name, seed, extra in (("given", 1, ["--seed", "7"]), ("seven", 7, []), ("one", 1, [])):
+        cfg = tmp_path / f"{name}.txt"
+        cfg.write_text(body + f"seed = {seed}\n")
+        runs[name] = tmp_path / f"{name}-runs.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"{name}.csv"),
+                     "--runs-out", str(runs[name])] + extra) == 0
+    assert runs["given"].read_bytes() == runs["seven"].read_bytes()
+    assert runs["given"].read_bytes() != runs["one"].read_bytes()
+
+
 def test_cli_sweep_matches_config(tmp_path):
     cfg = tmp_path / "grid.txt"
     cfg.write_text(

@@ -9,12 +9,16 @@ from itertools import combinations
 
 import pytest
 
+from rendezsim import hopping
 from rendezsim.hopping import (
     PROTOCOLS,
     DualModularClock,
     ModularClock,
     RandomClock,
+    _dual_windows,
+    _modular_windows,
     _randbelow,
+    _rcs_windows,
     make_clock,
     smallest_prime_geq,
     split_primality,
@@ -52,8 +56,9 @@ def dual_clock_oracle(channels, j1, r1, j2, r2, steps):
     return out, j1, j2
 
 
-def set_dual_state(clock, j1, r1, j2, r2):
-    clock.j1, clock.r1, clock.j2, clock.r2 = j1, r1, j2, r2
+def dual_window(channels, j1, r1, j2, r2):
+    """The first window of a dual clock over channels from the given state."""
+    return next(_dual_windows(sorted(channels), random.Random(0).getrandbits, j1, r1, j2, r2))
 
 
 def pairs(window):
@@ -78,19 +83,23 @@ def test_smallest_prime_geq():
 def test_first_half_prime_subset_arithmetic():
     # m_i = {1..10}: prime subset [2,3,5,7]; from j1=3 a rate of 2 lands on
     # index 5, i.e. channel [2,3,5,7][5 mod 4] = 3
-    clock = DualModularClock(range(1, 11), random.Random(0))
-    set_dual_state(clock, j1=3, r1=2, j2=0, r2=1)
-    window = clock.window()
+    chans = list(range(1, 11))
+    rng, reference = random.Random(0), random.Random(0)
+    windows = _dual_windows(chans, rng.getrandbits, 3, 2, 0, 1)
+    window = next(windows)
     assert window[0] == 3
     assert window[2] == 7  # index 7 -> [2,3,5,7][7 mod 4]
-    # a window of |m_i| steps brings the index back to where it started
-    assert clock.j1 == 3
+    # a window of |m_i| steps brings the index back to where it started, and
+    # the next window steps on from there at its fresh rates
+    expected, j1, j2 = dual_clock_oracle(chans, 3, 2, 0, 1, 10)
+    assert pairs(window) == expected
+    assert j1 == 3
+    r1, r2 = reference.randrange(1, 10), reference.randrange(1, 10)
+    assert pairs(next(windows)) == dual_clock_oracle(chans, j1, r1, j2, r2, 10)[0]
 
 
 def test_first_half_falls_back_to_full_set_without_primes():
-    clock = DualModularClock({4, 6, 8}, random.Random(0))
-    set_dual_state(clock, j1=2, r1=1, j2=0, r2=1)
-    window = clock.window()
+    window = dual_window({4, 6, 8}, j1=2, r1=1, j2=0, r2=1)
     assert window[0] == 4  # j1 wraps to 0; channel m_i[0]
     assert window[0::2] == [4, 6, 8]
 
@@ -98,17 +107,13 @@ def test_first_half_falls_back_to_full_set_without_primes():
 def test_second_half_non_prime_subset_arithmetic():
     # non-prime subset of {1..10} is [1,4,6,8,9,10]; j2=0 with rate 3 lands
     # on index 3, i.e. channel 8
-    clock = DualModularClock(range(1, 11), random.Random(0))
-    set_dual_state(clock, j1=0, r1=1, j2=0, r2=3)
-    assert clock.window()[1] == 8
+    assert dual_window(range(1, 11), j1=0, r1=1, j2=0, r2=3)[1] == 8
 
 
 def test_second_half_shifts_off_a_first_half_collision():
     # all-prime set: the second half falls back to the full set and must not
     # repeat the first half's channel; it steps one index further instead
-    clock = DualModularClock({2, 3, 5}, random.Random(0))
-    set_dual_state(clock, j1=0, r1=1, j2=0, r2=1)
-    window = clock.window()
+    window = dual_window({2, 3, 5}, j1=0, r1=1, j2=0, r2=1)
     c1, c2 = window[0], window[1]
     assert c1 == 3  # j1 -> 1
     assert c2 == 5  # j2 -> 1 collides with c1, shifted to index 2
@@ -126,9 +131,8 @@ def test_halves_never_collide_when_both_subsets_exist():
                 continue
             for j1 in range(size):
                 for r1 in range(1, size):
-                    clock = DualModularClock(chans, random.Random(0))
-                    set_dual_state(clock, j1=j1, r1=r1, j2=(j1 + 1) % size, r2=r1)
-                    assert all(c1 != c2 for c1, c2 in pairs(clock.window()))
+                    window = dual_window(chans, j1=j1, r1=r1, j2=(j1 + 1) % size, r2=r1)
+                    assert all(c1 != c2 for c1, c2 in pairs(window))
 
 
 def test_dual_clock_matches_modular_oracle_within_a_window():
@@ -140,21 +144,21 @@ def test_dual_clock_matches_modular_oracle_within_a_window():
             j1, j2 = rng.randrange(size), rng.randrange(size)
             r1 = rng.randrange(1, size)
             r2 = rng.randrange(1, size)
-            clock = DualModularClock(chans, random.Random(0))
-            set_dual_state(clock, j1, r1, j2, r2)
             expected, _, _ = dual_clock_oracle(chans, j1, r1, j2, r2, size)
-            window = clock.window()  # one reseed window
+            window = dual_window(chans, j1, r1, j2, r2)  # one reseed window
             assert len(window) == 2 * size
             assert pairs(window) == expected
 
 
-def dual_clock_reseed_oracle(channels, seed, windows):
+def dual_clock_reseed_oracle(channels, seed, windows, states=None):
     """Channel pairs of a dual clock built on random.Random(seed), reseeds included.
 
     Replays the clock's draws from the same stream: j1, j2, r1, r2 at
     construction; then, at the end of every window of |m_i| slots, r1 and r2,
     plus j1 and j2 every RESEED_INDEX_EVERY windows or in every window when
     the set has fewer than three channels. A rate draw is 1 for a set of one.
+    A list given as states receives (j1, r1, j2, r2) after each window's
+    redraws.
     """
     rng = random.Random(seed)
     size = len(channels)
@@ -173,6 +177,8 @@ def dual_clock_reseed_oracle(channels, seed, windows):
         if size < 3 or window % DualModularClock.RESEED_INDEX_EVERY == 0:
             j1 = rng.randrange(size)
             j2 = rng.randrange(size)
+        if states is not None:
+            states.append((j1, r1, j2, r2))
     return out
 
 
@@ -190,11 +196,13 @@ def test_dual_clock_matches_oracle_across_reseeds():
 
 
 def test_rates_and_indices_stay_in_range_across_reseeds():
-    clock = DualModularClock(range(1, 11), random.Random(5))
-    for _ in range(300):
-        clock.window()
-        assert 0 <= clock.j1 < 10 and 0 <= clock.j2 < 10
-        assert 1 <= clock.r1 < 10 and 1 <= clock.r2 < 10
+    chans = tuple(range(1, 11))
+    clock = DualModularClock(chans, random.Random(5))
+    states = []
+    assert pairs(half_slots(clock, 2 * 10 * 300)) == dual_clock_reseed_oracle(chans, 5, 300, states)
+    for j1, r1, j2, r2 in states:
+        assert 0 <= j1 < 10 and 0 <= j2 < 10
+        assert 1 <= r1 < 10 and 1 <= r2 < 10
 
 
 def test_reseed_breaks_index_lockstep_between_clocks():
@@ -210,18 +218,17 @@ def test_reseed_breaks_index_lockstep_between_clocks():
 
 def test_two_channel_set_forces_unit_rates():
     clock = DualModularClock({3, 5}, random.Random(1))
-    for _ in range(50):
-        clock.window()
-        assert clock.r1 == 1 and clock.r2 == 1
+    states = []
+    assert pairs(half_slots(clock, 2 * 2 * 50)) == dual_clock_reseed_oracle((3, 5), 1, 50, states)
+    for _, r1, _, r2 in states:
+        assert r1 == 1 and r2 == 1
 
 
 def test_dual_clock_first_half_cycles_with_modular_period():
     # with a fixed rate the index sequence has period size/gcd(r, size)
     chans = tuple(range(1, 11))
-    clock = DualModularClock(chans, random.Random(0))
-    set_dual_state(clock, j1=0, r1=4, j2=0, r2=1)
     period = 10 // math.gcd(4, 10)
-    seq = clock.window()[0::2]  # the first halves of one window
+    seq = dual_window(chans, j1=0, r1=4, j2=0, r2=1)[0::2]  # the first halves of one window
     assert seq[:period] == seq[period:2 * period]
     assert len(set(seq[:period])) > 1
 
@@ -246,25 +253,27 @@ def test_random_searcher_rejects_an_empty_pool():
 
 
 def test_modular_clock_prime_modulus_and_overflow():
-    clock = ModularClock([1, 2, 3, 4], random.Random(0))
-    assert clock.p == 5
-    # force the overflow index: j=4 exceeds the channel list and triggers a
+    chans = [1, 2, 3, 4]
+    clock = ModularClock(chans, random.Random(0))
+    assert half_slots(clock, 30) == modular_clock_oracle(chans, 0, 30)
+    p = smallest_prime_geq(len(chans))
+    assert p == 5
+    # from j=3 at rate 1, index 4 exceeds the channel list and triggers a
     # uniform random pick from the set, drawn in step order
-    clock.j, clock.r = 3, 1
     rng = random.Random(0)
-    ModularClock([1, 2, 3, 4], rng)  # the same construction draws
-    window = clock.window()
+    window = next(_modular_windows(chans, random.Random(0).getrandbits, p, 3, 1, False))
     assert window[0] == 1 + rng.randrange(4)
     assert window[1:5] == [1, 2, 3, 4]  # indices 0..3 after the overflow
 
 
-def modular_clock_oracle(channels, seed, steps):
+def modular_clock_oracle(channels, seed, steps, indices=None):
     """Channels of a modular clock built on random.Random(seed), step by step.
 
     Replays the clock's draws from the same stream: j, then r, at
     construction; at every step j += r (mod p), and after 2p steps a fresh r
     and then a fresh j replace them before the channel is read; an index past
-    the channel list picks uniformly from it.
+    the channel list picks uniformly from it. A list given as indices
+    receives each fresh j.
     """
     rng = random.Random(seed)
     mi = sorted(channels)
@@ -277,6 +286,8 @@ def modular_clock_oracle(channels, seed, steps):
         if step % (2 * p) == 0:
             r = rng.randrange(1, p)
             j = rng.randrange(p)
+            if indices is not None:
+                indices.append(j)
         out.append(mi[j] if j < len(mi) else mi[rng.randrange(len(mi))])
     return out
 
@@ -289,45 +300,55 @@ def test_modular_clock_resamples_index_and_rate_each_window():
     for chans in (range(1, 11), (3,), (2, 9), (1, 4, 6, 8), range(1, 25, 2)):
         for seed in range(4):
             for per_slot, half_slots_per_step in ((False, 1), (True, 2)):
-                clock = ModularClock(chans, random.Random(seed), per_slot=per_slot)
-                p = clock.p
-                states = set()
+                mi = sorted(chans)
+                p = smallest_prime_geq(len(mi))
+                rng = random.Random(seed)
+                j = rng.randrange(p)
+                r = rng.randrange(1, p)
+                windows = _modular_windows(mi, rng.getrandbits, p, j, r, per_slot)
                 got = []
                 for _ in range(20):
-                    window = clock.window()
+                    window = next(windows)
                     assert len(window) == 2 * p * half_slots_per_step
                     got += window[::half_slots_per_step]
-                    states.add(clock.j)
                 # 40p steps hold 20 windows of 2p steps each
-                assert got == modular_clock_oracle(chans, seed, 40 * p)
+                states = []
+                assert got == modular_clock_oracle(chans, seed, 40 * p, states)
+                clock = ModularClock(chans, random.Random(seed), per_slot=per_slot)
+                assert half_slots(clock, 40 * p * half_slots_per_step)[::half_slots_per_step] == got
                 # the index offset keeps moving across windows
-                assert len(states) > p // 2
+                assert len(set(states)) > p // 2
 
 
 def test_per_slot_clock_dwells_for_both_halves():
     dwell = ModularClock(range(1, 11), random.Random(2), per_slot=True)
-    for _ in range(10):
-        window = dwell.window()
-        assert window[0::2] == window[1::2]
+    window = half_slots(dwell, 10 * 2 * 2 * 11)  # ten windows of 2p slots, p = 11
+    assert window[0::2] == window[1::2]
 
 
 def test_half_slot_clock_advances_every_half():
     # a window is 2p steps, one per half-slot; p = 11 > 10 channels, so
     # every step lands on a fresh index and no two neighbours repeat unless
     # an overflow pick happens to land there
-    clock = ModularClock(range(1, 11), random.Random(2))
-    window = clock.window()
-    assert len(window) == 2 * clock.p
+    rng = random.Random(2)  # the draws of ModularClock(range(1, 11), rng)
+    p = smallest_prime_geq(10)
+    j = rng.randrange(p)
+    r = rng.randrange(1, p)
+    window = next(_modular_windows(list(range(1, 11)), rng.getrandbits, p, j, r, False))
+    assert len(window) == 2 * p
     assert sum(a != b for a, b in zip(window, window[1:])) >= len(window) - 5
 
 
 def test_make_clock_dispatch():
     rng = random.Random(0)
     assert isinstance(make_clock("rcs", [1, 2], rng, pool=[1, 2, 3]), RandomClock)
-    mca = make_clock("mca", [1, 2, 3], rng)
-    emca = make_clock("emca", [1, 2, 3], rng)
-    assert isinstance(mca, ModularClock) and mca.per_slot
-    assert isinstance(emca, ModularClock) and not emca.per_slot
+    mca = make_clock("mca", [1, 2, 3], random.Random(1))
+    emca = make_clock("emca", [1, 2, 3], random.Random(1))
+    assert isinstance(mca, ModularClock) and isinstance(emca, ModularClock)
+    # mca dwells on each step for both halves of a slot; emca steps every half
+    steps = modular_clock_oracle([1, 2, 3], 1, 40)
+    assert half_slots(mca, 80) == [c for c in steps for _ in (0, 1)]
+    assert half_slots(emca, 40) == steps
     assert isinstance(make_clock("mdmca", [1, 2, 3], rng), DualModularClock)
     assert isinstance(make_clock("mrdmca", [1, 2, 3], rng), DualModularClock)
     with pytest.raises(ValueError):
@@ -342,16 +363,15 @@ def test_rcs_clock_uses_the_pool_not_the_node_set():
 
 def test_select_passes_over_an_empty_window(monkeypatch):
     # an rcs window could, however rarely, reject every one of its draws
-    windows = iter([[], [], [2, 3]])
-    monkeypatch.setattr(RandomClock, "window", lambda self: next(windows))
+    monkeypatch.setattr(hopping, "_rcs_windows", lambda pool, bits: iter([[], [], [2, 3]]))
     clock = RandomClock([1, 2, 3], random.Random(0))
     assert [clock.select(), clock.select()] == [2, 3]
 
 
 def test_building_a_clock_draws_only_its_initial_state():
     # the first window is drawn at the first select: building a clock takes
-    # only its initial index and rate draws, so state set before the first
-    # select shapes the first window (acceptance criterion 7c relies on it)
+    # only its initial index and rate draws, and hands them to the generator
+    # of its windows, which makes every later draw
     chans = (2, 3, 4, 6, 9)
     size, p = len(chans), smallest_prime_geq(len(chans))
     initial = {
@@ -366,19 +386,16 @@ def test_building_a_clock_draws_only_its_initial_state():
         make_clock(protocol, chans, rng, pool=list(range(1, 11)))
         draws(reference)
         assert rng.getstate() == reference.getstate(), protocol
-    for protocol, first in (("mca", [3, 3, 4, 4]), ("emca", [3, 4, 6, 9])):
-        clock = make_clock(protocol, chans, random.Random(5))
-        clock.j, clock.r = 0, 1
-        assert half_slots(clock, 4) == first
-    clock = make_clock("mrdmca", chans, random.Random(5))
-    set_dual_state(clock, j1=0, r1=1, j2=1, r2=2)
+    for per_slot, first in ((True, [3, 3, 4, 4]), (False, [3, 4, 6, 9])):  # mca, emca
+        bits = random.Random(5).getrandbits
+        assert next(_modular_windows(sorted(chans), bits, p, 0, 1, per_slot))[:4] == first
     expected, _, _ = dual_clock_oracle(chans, 0, 1, 1, 2, size)
-    assert pairs(half_slots(clock, 2 * size)) == expected
+    assert pairs(dual_window(chans, j1=0, r1=1, j2=1, r2=2)) == expected
 
 
 def test_a_dropped_clock_is_freed_without_the_cyclic_collector():
-    # a clock's stream reaches the clock only weakly: a cycle would keep every
-    # run's clocks alive until the collector ran, and sweeps' peak RSS rose
+    # a clock's stream holds no reference to the clock: a cycle would keep
+    # every run's clocks alive until the collector ran, and sweeps' peak RSS rose
     gc.disable()
     try:
         for protocol in PROTOCOLS:
@@ -387,8 +404,8 @@ def test_a_dropped_clock_is_freed_without_the_cyclic_collector():
             alive = weakref.ref(clock)
             del clock
             assert alive() is None, protocol
-            # a select keeps its clock: held alone, it keeps drawing windows,
-            # and the clock goes with it
+            # a select holds only the stream: held alone, it keeps drawing
+            # windows, and the clock goes at once
             reference = make_clock(protocol, (2, 3, 5), random.Random(1), pool=list(range(1, 11)))
             clock = make_clock(protocol, (2, 3, 5), random.Random(1), pool=list(range(1, 11)))
             select, alive = clock.select, weakref.ref(clock)
@@ -422,8 +439,8 @@ def test_random_clock_draws_the_randrange_stream():
             for draw in ("rcs window", "randrange(1, p)", "randrange(L)"):
                 rng, reference = random.Random(seed), random.Random(seed)
                 if draw == "rcs window":
-                    clock = RandomClock(pool, rng)
-                    got = clock.window() + clock.window()
+                    windows = _rcs_windows(pool, rng.getrandbits)
+                    got = next(windows) + next(windows)
                     expected = [pool[reference.randrange(size)] for _ in got]
                     got.append(pool[rng.randrange(size)])
                     expected.append(pool[reference.randrange(size)])
@@ -447,9 +464,17 @@ def test_rcs_channels_do_not_depend_on_the_window_size(size, monkeypatch):
     streams = []
     for draws in (64, 256):
         monkeypatch.setattr(RandomClock, "DRAWS", draws)
-        clocks = [RandomClock(pool, random.Random(seed)) for seed in (0, 5, 2**40 + 3)]
-        assert all(clock._bytewise == (size < 256) for clock in clocks)
+        calls = []
+
+        class Recorded(random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        clocks = [RandomClock(pool, Recorded(seed)) for seed in (0, 5, 2**40 + 3)]
         streams.append([half_slots(clock, 3000) for clock in clocks])
+        # a bytewise window is one call for DRAWS draws; else one call a draw
+        assert set(calls) == ({32 * draws} if size < 256 else {size.bit_length()})
     assert streams[0] == streams[1]
 
 
@@ -462,5 +487,3 @@ def test_split_primality_matches_trial_division_and_hands_out_fresh_lists():
     first, again = split_primality(labels), split_primality(labels)
     assert first == again
     assert first[0] is not again[0] and first[1] is not again[1]
-    a, b = (DualModularClock(range(1, 11), random.Random(0)) for _ in range(2))
-    assert a.mp is not b.mp and a.np_ is not b.np_
